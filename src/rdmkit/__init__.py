@@ -1,9 +1,10 @@
 """Toolkit for deciding whether an n-qubit pure state is determined by its
 (n-1)-qubit reduced density matrices."""
 
-from .compat import (CompatVerdict, Direction, FullWeightBasis, WitnessFamily,
-                     determinedness, direction_from_coeffs,
-                     direction_from_matrix, fullweight_basis, rank2_check,
+from .compat import (CompatVerdict, Direction, FullWeightBasis,
+                     ParentHamiltonian, WitnessFamily, determinedness,
+                     direction_from_coeffs, direction_from_matrix,
+                     fullweight_basis, parent_hamiltonian, rank2_check,
                      search_max_tmax, tmax_along)
 from .construct import (PartnerResult, TheoremViolation, TwoLevelRestriction,
                         eigen2, mixture_state, pure_partner,

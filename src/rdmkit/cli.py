@@ -97,8 +97,8 @@ def _digest(path: str) -> str:
 
 
 def _report(args, **results):
-    doc = {"command": " ".join(sys.argv[1:]) or args.cmd,
-           "elapsed_s": round(time.time() - args._t0, 3)}
+    doc = {"command": " ".join(args._argv),
+           "elapsed_s": round(time.perf_counter() - args._t0, 3)}
     doc.update(results)
     print(json.dumps(doc, indent=2, default=_jsonable))
     return doc
@@ -164,6 +164,8 @@ def cmd_verdict(args) -> int:
         "determined": verdict.determined,
         "numeric_sup_tmax": verdict.numeric_sup_tmax,
         "samples_used": verdict.samples_used,
+        "cross_check": {"method": verdict.cross_check,
+                        "parent_gap": verdict.parent_gap},
         "certificate": _certificate_summary(verdict.ghz_certificate),
         "anomaly": verdict.anomaly,
     }
@@ -367,8 +369,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
-    args._t0 = time.time()
+    args._argv = argv
+    args._t0 = time.perf_counter()
     try:
         return args.func(args)
     except CliError as exc:

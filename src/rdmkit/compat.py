@@ -4,8 +4,25 @@ The Hermitian perturbations with all n single-qubit partial traces equal
 to zero are exactly the real span of the 3^n full-weight Pauli words
 (every letter in {X, Y, Z}).  A state rho is undetermined by its RDMs iff
 rho + t*Delta stays PSD for some nonzero t and Delta in that span; the
-rigorous verdict comes from the GHZ-type theorem, and the feasibility
-search here is a numerical cross-check, not the decision procedure.
+rigorous verdict comes from the GHZ-type theorem, and the numerics here
+are an independent cross-check, not the decision procedure.
+
+`determinedness` runs two cross-checks, in this order:
+
+1. `parent_hamiltonian`: a Hamiltonian H built only from Pauli words with
+   an identity letter, with H psi ~ 0 and a positive second eigenvalue.
+   Such an H is a checkable proof that psi is determined; it bounds every
+   RDM-preserving step.  When that bound is at most CERTIFY_TMAX,
+   `numeric_sup_tmax` is the certified upper bound, `samples_used` is 0,
+   and the search is skipped.
+2. `search_max_tmax`, otherwise: a heuristic search for the largest
+   feasible step.  `numeric_sup_tmax` is the largest step it found (a
+   lower bound on the supremum, reported as an upper bound below 1e-9),
+   and `samples_used` counts the directions it tried.
+
+GHZ-type states never have such an H (their RDMs admit other states), so
+they always reach the search.  A parent Hamiltonian is sufficient but not
+necessary, so a missing one is never an anomaly on its own.
 """
 
 from __future__ import annotations
@@ -31,6 +48,8 @@ SEARCH_FLOOR = 1e-9     # below this, search reports an upper bound only
 # sqrt(eps); 1e-14 keeps those below 1e-6 while leaving genuine
 # boundaries (finite slope) essentially unchanged
 SEARCH_PSD_TOL = 1e-14
+CERTIFY_TMAX = 1e-6     # a parent-Hamiltonian bound this small skips search
+CROSS_CHECK_NMAX = 6    # the cross-checks are dense in 2^n x 2^n matrices
 
 
 @dataclass(frozen=True)
@@ -291,6 +310,121 @@ def search_max_tmax(rho: DensityMatrix, restarts: int, seed: int,
     return best
 
 
+@lru_cache(maxsize=None)
+def _local_word_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bit tables of the 4^n - 3^n Pauli words with an identity letter.
+
+    A word is an x-mask a and a z-mask b over the qubits (letter I, X, Z
+    or Y where the bit pair is 00, 10, 01 or 11), so that
+    P_w|s> = i^{#Y} (-1)^{popcount(b & s)} |s ^ a>.  Returns
+    (src, phase, flat), each of shape (4^n - 3^n, 2^n):
+    (P_w psi)[x] = phase[w, x] * psi[src[w, x]], and flat[w, x] is the
+    position of that entry, row x and column src[w, x], in the flattened
+    2^n x 2^n matrix of P_w.
+    """
+    d = 2**n
+    a, b = np.divmod(np.arange(d * d), d)
+    keep = (a | b) != d - 1
+    a, b = a[keep], b[keep]
+    popcount = np.array([bin(k).count("1") for k in range(d)])
+    x = np.arange(d)
+    src = x[None, :] ^ a[:, None]
+    sign = 1 - 2 * (popcount[b[:, None] & src] & 1)
+    phase = np.array([1, 1j, -1, -1j])[popcount[a & b] % 4][:, None] * sign
+    flat = x[None, :] * d + src
+    for arr in (src, phase, flat):
+        arr.flags.writeable = False
+    return src, phase, flat
+
+
+@dataclass(frozen=True)
+class ParentHamiltonian:
+    """A Hamiltonian in the identity-letter span and the step bound it proves.
+
+    `matrix` is H, `gap` its second-smallest eigenvalue g, and `bound`
+    the certified upper bound on every RDM-preserving step (infinite when
+    g <= 0).  `certifies` says whether the bound is small enough to stand
+    in for the search.
+    """
+
+    matrix: np.ndarray = field(repr=False)
+    gap: float
+    bound: float
+
+    @property
+    def certifies(self) -> bool:
+        return self.bound <= CERTIFY_TMAX
+
+
+def parent_hamiltonian(psi: PureState) -> ParentHamiltonian:
+    """Project I - |psi><psi| onto {H in V : H psi = 0}, and bound the steps.
+
+    V is the real span of the 4^n - 3^n Pauli words with at least one
+    identity letter.  The constraint H psi = 0 is linear in H's word
+    coefficients: its real matrix stacks [Re; Im] of the vectors P_w psi,
+    shape (2 * 2^n, 4^n - 3^n).  One thin SVD gives that matrix's row
+    space; removing the row-space part from the coefficients of
+    I - |psi><psi| (whose full-weight part is simply dropped, the words
+    being orthogonal) leaves H, and one eigvalsh gives its spectrum.
+
+    Why H bounds the step.  Every word in V is trace-orthogonal to every
+    full-weight word, so tr(H Delta) = 0 for each direction Delta the
+    search explores.  Let rho = |psi><psi| + t Delta be PSD, with Delta
+    traceless and of unit Frobenius norm, so |t| = ||rho - psi psi^dag||_F.
+    Write eps = <psi|H|psi>, r = ||H psi||, lambda_min <= g for H's two
+    lowest eigenvalues and phi its ground vector.  Then:
+
+    * tr(H rho) = eps, since the Delta term vanishes.
+    * With p = <phi|rho|phi> and tr rho = 1, tr(H rho) >= lambda_min p +
+      g (1 - p), so 1 - p <= (|eps| + max(0, -lambda_min)) / g =: delta.
+    * Fidelity 1 - delta with the pure phi gives
+      ||rho - phi phi^dag||_1 <= 2 sqrt(delta).
+    * The sin-theta theorem with shift 0: every eigenvalue of H but
+      lambda_min lies at distance >= g from 0, so the angle theta between
+      psi and phi has sin(theta) <= r / g, and
+      ||phi phi^dag - psi psi^dag||_1 = 2 sin(theta) <= 2 r / g.
+
+    The Frobenius norm is at most the trace norm, hence
+
+        |t| <= 2 sqrt((|eps| + max(0, -lambda_min)) / g) + 2 r / g.
+
+    Every quantity on the right is measured on the assembled H, so the
+    bound holds whatever the SVD's rank cut-off.  A bound near zero says
+    that psi is the unique ground state of H, so no other state, pure or
+    mixed, shares its RDMs.
+    """
+    n = psi.n
+    if not 2 <= n <= CROSS_CHECK_NMAX:
+        raise ValidationError(f"n must be in 2..{CROSS_CHECK_NMAX}, got {n}")
+    d = 2**n
+    src, phase, flat = _local_word_tables(n)
+    amps = psi.amps
+    moved = phase * amps[src]                      # row w is P_w psi
+    coeffs = -np.real(moved @ amps.conj()) / d     # of -|psi><psi| over V
+    coeffs[0] += 1.0                               # word 0 is the identity
+    constraint = np.concatenate([moved.real, moved.imag], axis=1).T
+    _, svals, vt = np.linalg.svd(constraint, full_matrices=False)
+    rank = int(np.sum(svals > svals[0] * max(constraint.shape)
+                      * np.finfo(float).eps))
+    row_space = vt[:rank]
+    coeffs -= row_space.T @ (row_space @ coeffs)
+    weights = (coeffs[:, None] * phase).ravel()
+    h = (np.bincount(flat.ravel(), weights.real, d * d)
+         + 1j * np.bincount(flat.ravel(), weights.imag, d * d)).reshape(d, d)
+    evals = np.linalg.eigvalsh(h)
+    lam_min, gap = float(evals[0]), float(evals[1])
+    h_psi = h @ amps
+    eps = float(np.real(np.vdot(amps, h_psi)))
+    resid = float(np.linalg.norm(h_psi))
+    if gap > 0:
+        bound = (2 * np.sqrt((abs(eps) + max(0.0, -lam_min)) / gap)
+                 + 2 * resid / gap)
+    else:
+        bound = float("inf")
+    h.flags.writeable = False
+    return ParentHamiltonian(h, gap, float(bound))
+
+
 @dataclass(frozen=True)
 class WitnessFamily:
     """The GHZ family disk transported through a certificate's local bases."""
@@ -315,6 +449,26 @@ class CompatVerdict:
     samples_used: int
     anomaly: str | None = None
     witness_rdm_residual: float | None = None
+    parent_gap: float | None = None  # None when no cross-check ran
+
+    @property
+    def cross_check(self) -> str | None:
+        """Which cross-check ran: "parent_hamiltonian", "search" or None."""
+        if self.parent_gap is None:
+            return None
+        return "parent_hamiltonian" if self.samples_used == 0 else "search"
+
+
+def _witness_directions(n: int, local_bases) -> list[Direction]:
+    """The two in-span directions joining the GHZ pair's product states."""
+    g0 = np.ones(1, dtype=complex)
+    g1 = np.ones(1, dtype=complex)
+    for (uk, vk) in local_bases:
+        g0 = np.kron(g0, uk)
+        g1 = np.kron(g1, vk)
+    off = np.outer(g0, g1.conj())
+    return [direction_from_matrix(n, mat / np.sqrt(2), span_tol=1e-6)
+            for mat in (off + off.conj().T, 1j * off - 1j * off.conj().T)]
 
 
 def determinedness(psi: PureState, tol: float = 1e-8,
@@ -322,49 +476,51 @@ def determinedness(psi: PureState, tol: float = 1e-8,
     """Is psi the unique state (pure or mixed) with its RDM tuple?
 
     The verdict follows the GHZ-type theorem: determined iff psi is not
-    GHZ-type.  The feasibility search runs as an independent numeric
-    cross-check; disagreement is reported as an anomaly, never silently
-    reconciled.
+    GHZ-type.  An independent numeric cross-check follows: a parent
+    Hamiltonian certificate first, the feasibility search when no
+    certificate exists.  Disagreement is reported as an anomaly, never
+    silently reconciled.
     """
-    if psi.n < 2:
-        raise ValidationError("need n >= 2")
+    if not 2 <= psi.n <= CROSS_CHECK_NMAX:
+        raise ValidationError(
+            f"n must be in 2..{CROSS_CHECK_NMAX}, got {psi.n}")
+    if restarts < 1:
+        raise ValidationError("restarts must be >= 1")
     cert = detect_ghz_type(psi, tol)
     if cert.inconclusive:
         return CompatVerdict(None, cert, None, float("nan"), 0)
-    extras = []
     family = None
     witness_res = None
     if cert.is_ghz:
         family = WitnessFamily(cert.params, cert.local_bases)
-        g0 = np.ones(1, dtype=complex)
-        g1 = np.ones(1, dtype=complex)
-        for (uk, vk) in cert.local_bases:
-            g0 = np.kron(g0, uk)
-            g1 = np.kron(g1, vk)
-        off = np.outer(g0, g1.conj())
-        for mat in (off + off.conj().T, 1j * off - 1j * off.conj().T):
-            extras.append(direction_from_matrix(psi.n, mat / np.sqrt(2),
-                                                span_tol=1e-6))
         psi_tuple = ptr_tuple(psi.projector())
         witness_res = max(
             rdm_max_distance(ptr_tuple(family.member(z)), psi_tuple)
             for z in (0.0, -1.0, 0.5j))
-    sup = search_max_tmax(psi.projector(), restarts, seed,
-                          extra_directions=tuple(extras))
-    samples = 3**psi.n + 2**psi.n + len(extras) + restarts
+    parent = parent_hamiltonian(psi)
+    if parent.certifies:
+        sup, samples = parent.bound, 0
+        found = (f"a parent Hamiltonian (gap {parent.gap:.3e}) bounds "
+                 f"every step by {sup:.3e}")
+    else:
+        extras = (_witness_directions(psi.n, cert.local_bases)
+                  if cert.is_ghz else [])
+        sup = search_max_tmax(psi.projector(), restarts, seed,
+                              extra_directions=tuple(extras))
+        samples = 3**psi.n + 2**psi.n + len(extras) + restarts
+        found = f"search found no feasible step (sup {sup:.3e})"
     determined = not cert.is_ghz
     anomaly = None
     if determined and sup > 1e-4:
         anomaly = (f"theorem says determined but search found a feasible "
                    f"step of size {sup:.3e}")
     if not determined and sup < 1e-6:
-        anomaly = (f"theorem says undetermined but search found no "
-                   f"feasible step (sup {sup:.3e})")
+        anomaly = f"theorem says undetermined but {found}"
     if witness_res is not None and witness_res > 1e-9:
         anomaly = (f"witness family RDM residual {witness_res:.3e} "
                    f"exceeds 1e-9")
     return CompatVerdict(determined, cert, family, sup, samples,
-                         anomaly, witness_res)
+                         anomaly, witness_res, parent.gap)
 
 
 def rank2_check(psi: PureState, omega: DensityMatrix) -> bool:

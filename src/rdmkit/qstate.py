@@ -33,10 +33,6 @@ def bit_at(index: int, j: int, n: int) -> int:
     return (index >> (n - j)) & 1
 
 
-def flip_bit(index: int, j: int, n: int) -> int:
-    return index ^ (1 << (n - j))
-
-
 @dataclass(frozen=True)
 class MultiIndex:
     """A multi-index I = (i_1 i_2 ... i_n), each slot in {0, 1}."""
@@ -87,6 +83,8 @@ class PureState:
         if amps.shape != (2**self.n,):
             raise ValidationError(
                 f"expected {2**self.n} amplitudes, got shape {amps.shape}")
+        if not np.isfinite(amps).all():
+            raise ValidationError("amplitudes must be finite")
         norm2 = float(np.sum(np.abs(amps) ** 2))
         if abs(norm2 - 1.0) > NORM_TOL:
             raise ValidationError(
@@ -113,6 +111,8 @@ class DensityMatrix:
         d = 2**self.n
         if m.shape != (d, d):
             raise ValidationError(f"expected {d}x{d} matrix, got {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValidationError("matrix entries must be finite")
         asym = float(np.max(np.abs(m - m.conj().T)))
         if asym > 1e-12:
             raise ValidationError(f"not Hermitian: max asymmetry {asym:.3e}")

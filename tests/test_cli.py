@@ -50,6 +50,38 @@ def test_malformed_json_reports_position(tmp_path, capsys):
     assert "line" in err and "column" in err
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_verdict_rejects_non_finite_amplitude(tmp_path, capsys, token):
+    p = tmp_path / "bad.json"
+    p.write_text('{"format": "rdmkit-state-v1", "kind": "pure", "n": 2, '
+                 '"data": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], '
+                 f'[{token}, 0.0]]}}')
+    code, report, err = run(capsys, ["verdict", str(p)])
+    assert code == 2
+    assert report is None
+    assert "finite" in err
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity"])
+def test_rdm_rejects_non_finite_density_entry(tmp_path, capsys, token):
+    p = tmp_path / "bad.json"
+    p.write_text('{"format": "rdmkit-state-v1", "kind": "density", "n": 1, '
+                 f'"data": [[[0.5, 0.0], [{token}, 0.0]], '
+                 f'[[{token}, 0.0], [0.5, 0.0]]]}}')
+    code, report, err = run(capsys, ["rdm", str(p)])
+    assert code == 2
+    assert report is None
+    assert "finite" in err
+
+
+def test_report_command_is_the_argv_given_to_main(tmp_path, capsys):
+    path = write_ghz(tmp_path / "ghz.json")
+    code, report, _ = run(capsys, ["rdm", path])
+    assert code == 0
+    assert report["command"] == f"rdm {path}"
+    assert report["elapsed_s"] >= 0
+
+
 # ------------------------------------------------------------------------ rdm
 
 def test_rdm_command_ghz(tmp_path, capsys):
@@ -97,6 +129,8 @@ def test_verdict_ghz_exits_3_with_witness(tmp_path, capsys):
     assert "witness_family" in report
     assert report["witness_family"]["rdm_residual"] <= 1e-9
     assert report["numeric_sup_tmax"] > 0.1
+    assert report["cross_check"]["method"] == "search"
+    assert report["cross_check"]["parent_gap"] <= 1e-8
 
 
 def test_verdict_w_state_exits_0(tmp_path, capsys):
@@ -108,6 +142,27 @@ def test_verdict_w_state_exits_0(tmp_path, capsys):
     assert code == 0
     assert report["determined"] is True
     assert report["numeric_sup_tmax"] <= 1e-6
+    assert report["samples_used"] == 0
+    assert report["cross_check"]["method"] == "parent_hamiltonian"
+    assert report["cross_check"]["parent_gap"] > 0.01
+
+
+def test_verdict_rejects_zero_restarts_on_a_certified_state(tmp_path, capsys):
+    p = tmp_path / "haar.json"
+    save_state(str(p), haar_random_state(3, 5))
+    code, report, err = run(capsys, ["verdict", str(p), "--restarts", "0"])
+    assert code == 2
+    assert report is None
+    assert "restarts" in err
+
+
+def test_verdict_refuses_n7(tmp_path, capsys):
+    p = tmp_path / "haar7.json"
+    save_state(str(p), haar_random_state(7, 5))
+    code, report, err = run(capsys, ["verdict", str(p)])
+    assert code == 2
+    assert report is None
+    assert "2..6" in err
 
 
 def test_verdict_rejects_density_input(tmp_path, capsys):

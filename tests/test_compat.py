@@ -4,17 +4,43 @@ determinedness verdicts, and the rank-2 check."""
 import numpy as np
 import pytest
 
+from rdmkit import compat
 from rdmkit.compat import (determinedness, direction_from_coeffs,
                            direction_from_matrix, fullweight_basis,
-                           rank2_check, search_max_tmax, tmax_along)
-from rdmkit.ghz import GhzParams, ghz_family, make_ghz
-from rdmkit.qstate import (DensityMatrix, PureState, ValidationError,
-                           haar_random_state)
+                           parent_hamiltonian, rank2_check, search_max_tmax,
+                           tmax_along)
+from rdmkit.ghz import GhzCertificate, GhzParams, ghz_family, make_ghz
+from rdmkit.qstate import (DensityMatrix, PauliWord, PureState,
+                           ValidationError, apply_local_unitaries,
+                           haar_random_state, random_local_unitaries)
 from rdmkit.rdm import partial_trace_matrix, ptr_tuple, rdm_max_distance
 
 INV_SQRT2 = 1 / np.sqrt(2)
 W3 = np.zeros(8, dtype=complex)
 W3[[1, 2, 4]] = 1 / np.sqrt(3)
+
+
+def rotated(psi, seed):
+    return apply_local_unitaries(psi, random_local_unitaries(psi.n, seed))
+
+
+def w_state(n):
+    v = np.zeros(2**n, dtype=complex)
+    v[[1 << j for j in range(n)]] = 1 / np.sqrt(n)
+    return PureState(n, v)
+
+
+def product_state(n):
+    v = np.zeros(2**n, dtype=complex)
+    v[0] = 1.0
+    return PureState(n, v)
+
+
+def rotated_ghz(n, seed):
+    rng = np.random.default_rng(seed)
+    b2 = rng.uniform(0.05, 0.45)
+    phase = np.exp(2j * np.pi * rng.uniform())
+    return rotated(make_ghz(n, np.sqrt(1 - b2), np.sqrt(b2) * phase), seed)
 
 
 def oracle_boundary(rho, mat, sign, hi=2.0, iters=80):
@@ -199,6 +225,120 @@ def test_verdict_product_state_determined():
     v = determinedness(PureState(4, e0), restarts=2, seed=0)
     assert v.determined is True
     assert v.anomaly is None
+
+
+def test_verdict_validates_before_either_cross_check():
+    psi = haar_random_state(3, 1)
+    with pytest.raises(ValidationError, match="restarts"):
+        determinedness(psi, restarts=0)
+    with pytest.raises(ValidationError, match="2..6"):
+        determinedness(haar_random_state(7, 1))
+
+
+# ------------------------------------------------------- parent Hamiltonian
+
+def determined_corpus():
+    for n in (3, 4):
+        for k in range(3):
+            yield haar_random_state(n, 4100 + 10 * n + k)
+        yield rotated(w_state(n), 4200 + n)
+        yield rotated(product_state(n), 4300 + n)
+
+
+def test_parent_hamiltonian_is_a_checkable_proof():
+    # H uses no full-weight word, annihilates psi and is gapped above it
+    psi = haar_random_state(3, 4001)
+    parent = parent_hamiltonian(psi)
+    for w in fullweight_basis(3).words:
+        assert abs(np.trace(w.matrix() @ parent.matrix)) <= 1e-12
+    assert np.linalg.norm(parent.matrix @ psi.amps) <= 1e-12
+    assert np.allclose(parent.matrix, parent.matrix.conj().T, atol=1e-14)
+    evals = np.linalg.eigvalsh(parent.matrix)
+    assert evals[0] >= -1e-12
+    assert parent.gap == evals[1] > 0.01
+    assert parent.certifies
+
+
+def test_parent_hamiltonian_certifies_a_two_qubit_product_state():
+    # at n=2 every word with an identity letter has weight <= 1: IZ and
+    # ZI pin |00>, and no full-weight word may take part
+    parent = parent_hamiltonian(product_state(2))
+    zi = PauliWord("ZI").matrix()
+    iz = PauliWord("IZ").matrix()
+    assert abs(np.trace(zi @ parent.matrix)) > 0.1
+    assert abs(np.trace(iz @ parent.matrix)) > 0.1
+    assert parent.certifies
+
+
+def test_certificate_and_search_agree_on_determined_states():
+    for psi in determined_corpus():
+        parent = parent_hamiltonian(psi)
+        assert parent.certifies, (psi.n, parent.gap, parent.bound)
+        assert search_max_tmax(psi.projector(), restarts=8, seed=0) <= 1e-6
+
+
+def test_certified_bound_holds_along_sampled_directions():
+    rng = np.random.default_rng(8)
+    for psi in list(determined_corpus())[:5]:
+        bound = parent_hamiltonian(psi).bound
+        for _ in range(5):
+            d = direction_from_coeffs(psi.n, rng.standard_normal(3**psi.n))
+            tm, tp = tmax_along(psi.projector(), d)
+            assert max(tp, -tm) <= max(bound, 1e-8)
+
+
+def test_verdict_uses_certificate_on_determined_states():
+    v = determinedness(rotated(w_state(4), 9), restarts=64, seed=0)
+    assert v.determined is True
+    assert v.anomaly is None
+    assert v.cross_check == "parent_hamiltonian"
+    assert v.samples_used == 0
+    assert v.parent_gap > 0.01
+    assert v.numeric_sup_tmax <= 1e-6
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_ghz_gets_no_certificate_and_search_runs(n):
+    psi = rotated_ghz(n, 4400 + n)
+    parent = parent_hamiltonian(psi)
+    assert parent.gap <= 1e-8
+    assert not parent.certifies
+    v = determinedness(psi, restarts=1, seed=0)
+    assert v.determined is False
+    assert v.anomaly is None
+    assert v.cross_check == "search"
+    assert v.samples_used > 0
+    assert v.parent_gap == parent.gap
+    assert v.numeric_sup_tmax > 0.1
+
+
+def test_search_fallback_still_flags_a_misclassified_ghz(monkeypatch):
+    # unrotated, so the search's complementary-pair seeds reach the step
+    # even without the witness directions a GHZ verdict would add
+    psi = make_ghz(3, np.sqrt(0.7), np.sqrt(0.3))
+
+    def says_not_ghz(psi, tol=1e-8):
+        return GhzCertificate(False, False, 0.5)
+
+    monkeypatch.setattr(compat, "detect_ghz_type", says_not_ghz)
+    v = determinedness(psi, restarts=1, seed=0)
+    assert v.determined is True
+    assert v.cross_check == "search"
+    assert v.numeric_sup_tmax > 0.1
+    assert v.anomaly.startswith("theorem says determined")
+
+
+def test_certificate_on_a_ghz_verdict_is_an_anomaly(monkeypatch):
+    psi = rotated_ghz(3, 4600)
+    fake = compat.ParentHamiltonian(np.eye(8), gap=0.5, bound=1e-7)
+    monkeypatch.setattr(compat, "parent_hamiltonian", lambda psi: fake)
+    v = determinedness(psi, restarts=1, seed=0)
+    assert v.determined is False
+    assert v.cross_check == "parent_hamiltonian"
+    assert v.samples_used == 0
+    assert v.numeric_sup_tmax == 1e-7
+    assert v.anomaly.startswith("theorem says undetermined but a parent "
+                                "Hamiltonian (gap 5.000e-01)")
 
 
 # ----------------------------------------------------------- RDM preservation

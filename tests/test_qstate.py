@@ -61,6 +61,12 @@ def test_purestate_wrong_length_rejected():
         PureState(2, np.array([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_purestate_rejects_non_finite(bad):
+    with pytest.raises(ValidationError, match="finite"):
+        PureState(1, np.array([1.0, bad]))
+
+
 def test_projector_and_overlap():
     psi = PureState(1, np.array([1.0, 1.0]) / np.sqrt(2))
     proj = psi.projector()
@@ -80,6 +86,14 @@ def test_density_matrix_validation():
         DensityMatrix(1, np.eye(2))  # trace 2
     with pytest.raises(ValidationError):
         DensityMatrix(1, np.diag([1.5, -0.5]))  # not PSD
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_density_matrix_rejects_non_finite(bad):
+    with pytest.raises(ValidationError, match="finite"):
+        DensityMatrix(1, np.array([[0.5, 0.0], [0.0, bad]]))
+    with pytest.raises(ValidationError, match="finite"):
+        DensityMatrix(1, np.array([[0.5, bad], [bad, 0.5]]))
 
 
 # ------------------------------------------------------------------ PauliWord
