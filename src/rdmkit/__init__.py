@@ -16,7 +16,7 @@ from .qstate import (DensityMatrix, EigDecomposition, MultiIndex, PauliWord,
                      haar_random_state, hermitian_eig, numeric_rank,
                      random_local_unitaries)
 from .rdm import (RdmTuple, partial_trace, partial_trace_matrix, ptr_tuple,
-                  rdm_max_distance)
+                  rdm_max_distance, require_equal_rdms)
 from .schmidt import (EnvVectors, Purification, SchmidtSplit,
                       extract_env_vectors, main_constraint_max_residual,
                       main_constraint_residual, product_split_test, purify,

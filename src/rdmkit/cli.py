@@ -191,12 +191,6 @@ def cmd_partner(args) -> int:
     omega = load_state(args.omega)
     if not isinstance(psi, PureState) or not isinstance(omega, DensityMatrix):
         raise CliError("need a pure psi file and a density omega file")
-    tup_psi = ptr_tuple(psi.projector())
-    tup_om = ptr_tuple(omega)
-    for j, (a, b) in enumerate(zip(tup_psi.parts, tup_om.parts), start=1):
-        dist = float(np.linalg.norm(a.mat - b.mat))
-        if dist > 1e-9:
-            raise CliError(f"RDM mismatch at qubit {j}: distance {dist:.3e}")
     try:
         result = construct.pure_partner_details(psi, omega)
     except construct.TheoremViolation as exc:

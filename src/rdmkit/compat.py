@@ -36,7 +36,8 @@ import numpy as np
 from .ghz import GhzCertificate, GhzParams, detect_ghz_type, ghz_family
 from .qstate import (DensityMatrix, PauliWord, PureState, ValidationError,
                      numeric_rank)
-from .rdm import partial_trace_matrix, ptr_tuple, rdm_max_distance
+from .rdm import (partial_trace_matrix, ptr_tuple, rdm_max_distance,
+                  require_equal_rdms)
 
 PSD_FEAS_TOL = 1e-10    # rho + t*Delta counts as PSD down to this eigenvalue
 BISECT_TOL = 1e-12
@@ -479,7 +480,8 @@ def determinedness(psi: PureState, tol: float = 1e-8,
     GHZ-type.  An independent numeric cross-check follows: a parent
     Hamiltonian certificate first, the feasibility search when no
     certificate exists.  Disagreement is reported as an anomaly, never
-    silently reconciled.
+    silently reconciled; several anomalies are joined with "; " in the
+    order they are found.
     """
     if not 2 <= psi.n <= CROSS_CHECK_NMAX:
         raise ValidationError(
@@ -510,17 +512,18 @@ def determinedness(psi: PureState, tol: float = 1e-8,
         samples = 3**psi.n + 2**psi.n + len(extras) + restarts
         found = f"search found no feasible step (sup {sup:.3e})"
     determined = not cert.is_ghz
-    anomaly = None
+    anomalies = []
     if determined and sup > 1e-4:
-        anomaly = (f"theorem says determined but search found a feasible "
-                   f"step of size {sup:.3e}")
+        anomalies.append(f"theorem says determined but search found a "
+                         f"feasible step of size {sup:.3e}")
     if not determined and sup < 1e-6:
-        anomaly = f"theorem says undetermined but {found}"
+        anomalies.append(f"theorem says undetermined but {found}")
     if witness_res is not None and witness_res > 1e-9:
-        anomaly = (f"witness family RDM residual {witness_res:.3e} "
-                   f"exceeds 1e-9")
+        anomalies.append(f"witness family RDM residual {witness_res:.3e} "
+                         f"exceeds 1e-9")
     return CompatVerdict(determined, cert, family, sup, samples,
-                         anomaly, witness_res, parent.gap)
+                         "; ".join(anomalies) or None, witness_res,
+                         parent.gap)
 
 
 def rank2_check(psi: PureState, omega: DensityMatrix) -> bool:
@@ -529,9 +532,7 @@ def rank2_check(psi: PureState, omega: DensityMatrix) -> bool:
     The theorem says yes for every valid input; a False return is a
     theorem-violation flag, not a normal outcome.
     """
-    dist = rdm_max_distance(ptr_tuple(psi.projector()), ptr_tuple(omega))
-    if dist > 1e-9:
-        raise ValidationError(f"RDM tuples differ: distance {dist:.3e}")
+    require_equal_rdms(ptr_tuple(psi.projector()), ptr_tuple(omega))
     rank = numeric_rank(omega.mat, 1e-8)
     if rank < 2:
         raise ValidationError("omega is pure; the check needs a mixed state")

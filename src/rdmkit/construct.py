@@ -1,10 +1,18 @@
 """From (psi, omega) with shared RDMs, build the distinct pure partner.
 
 The mixture (1-a)|psi><psi| + a*omega keeps psi's RDM tuple for every
-real a.  Restricted to the two-dimensional span of omega's range it is a
-trace-1 Hermitian 2x2 matrix whose low eigenvalue is positive at a = 1
-and goes negative for large a, so it crosses zero at some a* > 1; the
-surviving eigenvector there is a pure state with the same RDMs as psi.
+real a.  omega has rank 2 with psi in its range; in an orthonormal basis
+{psi, psi2} of that range the mixture is R(a) = (1-a) diag(1, 0) + a W,
+with W = omega there and tr W = 1, so w00 = 1 - w11 and
+
+    det R(a) = (1 - a w11) a w11 - a^2 |w01|^2
+             = a w11 - a^2 (w11^2 + |w01|^2).
+
+Its roots are a = 0, where the mixture is |psi><psi|, and
+a* = w11 / (w11^2 + |w01|^2) = w11 / (w11 - det W); the code uses the
+second form, which does not lean on tr W = 1.  a* > 1 exactly when
+det W > 0.  R is PSD on [0, a*], and at a* its surviving eigenvector is a
+pure state with the same RDMs as psi.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ import numpy as np
 from .compat import rank2_check
 from .qstate import (DensityMatrix, PureState, ValidationError, hermitian_eig,
                      numeric_rank)
-from .rdm import ptr_tuple, rdm_max_distance
+from .rdm import ptr_tuple, rdm_max_distance, require_equal_rdms
 
 
 class TheoremViolation(RuntimeError):
@@ -30,9 +38,7 @@ def mixture_state(psi: PureState, omega: DensityMatrix,
     PSD is deliberately not guaranteed: the construction extends a beyond
     the legitimate density-matrix range.
     """
-    dist = rdm_max_distance(ptr_tuple(psi.projector()), ptr_tuple(omega))
-    if dist > 1e-9:
-        raise ValidationError(f"RDM tuples differ: distance {dist:.3e}")
+    require_equal_rdms(ptr_tuple(psi.projector()), ptr_tuple(omega))
     return (1.0 - a) * psi.projector().mat + a * omega.mat
 
 
@@ -88,50 +94,12 @@ def two_level_restriction(psi: PureState,
 class PartnerResult:
     partner: PureState
     a_star: float
-    a_minus: float                # other zero crossing (legitimate interval edge)
+    a_minus: float                # the other root of det, always 0.0:
+                                  # the mixture is |psi><psi| there
     overlap: float                # |<psi|psi'>|
     rdm_residual: float
     mixture_weight: float         # lambda with omega ~ lam psi + (1-lam) psi'
     mixture_residual: float
-
-
-def _det_roots(res: TwoLevelRestriction) -> tuple[float, float] | None:
-    """Roots of det(restriction(a)) = 0; None when ill-conditioned."""
-    # det is quadratic in a: evaluate at three points and fit
-    aa = np.array([0.0, 1.0, 2.0])
-    dd = np.array([float(np.linalg.det(res.restriction(a)).real) for a in aa])
-    # det(a) = q2 a^2 + q1 a + q0 through samples at a = 0, 1, 2
-    q0 = dd[0]
-    q2 = 0.5 * (dd[0] - 2 * dd[1] + dd[2])
-    q1 = dd[1] - q0 - q2
-    disc = q1 * q1 - 4 * q2 * q0
-    if abs(q2) < 1e-14 or disc < 1e-14:
-        return None
-    r1 = (-q1 - np.sqrt(disc)) / (2 * q2)
-    r2 = (-q1 + np.sqrt(disc)) / (2 * q2)
-    return (min(r1, r2), max(r1, r2))
-
-
-def _bisect_crossing(res: TwoLevelRestriction) -> float:
-    """Bracket the low-eigenvalue zero above a = 1 by geometric growth."""
-    lo = 1.0
-    hi = 2.0
-    while res.low_eigenvalue(hi) > 0.0:
-        lo = hi
-        hi *= 2.0
-        if hi > 1e6:
-            raise ValidationError(
-                "no eigenvalue crossing below a = 1e6: input is "
-                "numerically degenerate")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if res.low_eigenvalue(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-13 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
 
 
 def pure_partner_details(psi: PureState,
@@ -144,12 +112,12 @@ def pure_partner_details(psi: PureState,
             f"omega has rank {numeric_rank(omega.mat, 1e-8)} > 2 despite "
             "matching RDMs")
     res = two_level_restriction(psi, omega)
-    roots = _det_roots(res)
-    if roots is not None and roots[1] > 1.0:
-        a_minus, a_star = roots
-    else:
-        a_star = _bisect_crossing(res)
-        a_minus = roots[0] if roots is not None else float("nan")
+    w00, w11 = float(res.w[0, 0].real), float(res.w[1, 1].real)
+    det_w = w00 * w11 - abs(complex(res.w[0, 1])) ** 2
+    if not det_w > 0.0:
+        raise ValidationError(f"det W = {det_w:.3e}: omega is numerically "
+                              "degenerate on span(psi, psi2)")
+    a_star = w11 / (w11 - det_w)  # the nonzero root of det R(a)
     r = res.restriction(a_star)
     vals, vecs = np.linalg.eigh(r)
     # take the surviving eigenvector (eigenvalue ~1), not the near-null one
@@ -173,7 +141,7 @@ def pure_partner_details(psi: PureState,
         raise TheoremViolation(
             f"omega is not a convex mixture of psi and the partner "
             f"(weight {lam!r}, residual {mix_res:.3e})")
-    return PartnerResult(partner, float(a_star), float(a_minus), overlap,
+    return PartnerResult(partner, a_star, 0.0, overlap,
                          rdm_res, lam, mix_res)
 
 

@@ -15,8 +15,6 @@ from .qstate import (DensityMatrix, PureState, ValidationError, hermitian_eig)
 from .schmidt import schmidt_split
 
 DETECT_TOL = 1e-8
-DEGENERATE_GRID = 32
-REFINE_STEPS = 200
 CLEAR_FALSE_NONPRODUCT = 1e-4  # above this the degenerate branch is a clean no
 
 
@@ -45,8 +43,9 @@ class GhzCertificate:
 
     When is_ghz: params holds magnitudes with |a| >= |b|, local_bases the n
     orthonormal pairs (u_i, v_i), and residual the reassembly distance.
-    inconclusive marks a degenerate-branch search that could not certify
-    either verdict; diagnostics carries the numbers behind the decision.
+    inconclusive marks a degenerate-branch product vector whose
+    nonproductness falls between tol and CLEAR_FALSE_NONPRODUCT;
+    diagnostics carries the numbers behind the decision.
     """
 
     is_ghz: bool
@@ -114,41 +113,58 @@ def _factor_product(vec: np.ndarray, n: int) -> list[np.ndarray]:
     return factors
 
 
-def _subspace_vector(chi: np.ndarray, theta: float, phi: float) -> np.ndarray:
-    return np.cos(theta) * chi[0] + np.sin(theta) * np.exp(1j * phi) * chi[1]
+def _minor_gram(chi: np.ndarray, n_rest: int) -> np.ndarray:
+    """3x3 Gram matrix G of the 2x2 minors of w = c0 chi[0] + c1 chi[1].
 
-
-def _search_product_in_span(chi: np.ndarray, n_rest: int) -> tuple:
-    """Minimize nonproductness over unit vectors in span(chi[0], chi[1]).
-
-    Coarse 32x32 grid over (theta, phi), then a deterministic shrinking
-    pattern search; returns (theta, phi, value).
+    Across rest qubit m, each minor of w's (qubit m) x (other rest qubits)
+    matrix c0 A0 + c1 A1 is k . v with v = (c0^2, c0 c1, c1^2).  G sums
+    conj(k) k^T over all minors and cuts, so v^H G v = sum |minor|^2 =
+    _nonproductness(w) / 2 for a unit w.  The minors are never listed: at
+    c = (1, 0), (1, 1), (0, 1) they are those of B = A0, A0 + A1, A1, and
+    by Cauchy-Binet sum_{s<t} conj(det B_i[:, st]) det B_j[:, st] =
+    det(conj(B_i) B_j^T).  Cost and memory are O(n_rest 2^n).
     """
-    thetas = np.linspace(0.0, np.pi / 2, DEGENERATE_GRID)
-    phis = np.linspace(0.0, 2 * np.pi, DEGENERATE_GRID, endpoint=False)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    grid = (np.cos(tt)[..., None] * chi[0]
-            + (np.sin(tt) * np.exp(1j * pp))[..., None] * chi[1])
-    vals = np.array([[_nonproductness(grid[i, k], n_rest)
-                      for k in range(DEGENERATE_GRID)]
-                     for i in range(DEGENERATE_GRID)])
-    i0, k0 = np.unravel_index(np.argmin(vals), vals.shape)
-    th, ph, best = float(tt[i0, k0]), float(pp[i0, k0]), float(vals[i0, k0])
-    step = float(thetas[1] - thetas[0])
-    for _ in range(REFINE_STEPS):
-        moved = False
-        for dth, dph in ((step, 0), (-step, 0), (0, step), (0, -step)):
-            cand = _nonproductness(
-                _subspace_vector(chi, th + dth, ph + dph), n_rest)
-            if cand < best - 1e-17:
-                th, ph, best = th + dth, ph + dph, cand
-                moved = True
-                break
-        if not moved:
-            step *= 0.5
-            if step < 1e-12:
-                break
-    return th, ph, best
+    t = chi.reshape((2,) * (n_rest + 1))
+    gram = np.zeros((3, 3), dtype=complex)
+    for m in range(n_rest):
+        a = np.moveaxis(t, m + 1, 1).reshape(2, 2, -1)
+        b = np.stack([a[0], a[0] + a[1], a[1]]).reshape(6, -1)
+        p = (b.conj() @ b.T).reshape(3, 2, 3, 2)
+        gram += p[:, 0, :, 0] * p[:, 1, :, 1] - p[:, 0, :, 1] * p[:, 1, :, 0]
+    # from the values at (1, 0), (1, 1), (0, 1) to the coefficients k
+    to_k = np.array([[1.0, 0.0, 0.0], [-1.0, 1.0, -1.0], [0.0, 0.0, 1.0]])
+    return to_k @ gram @ to_k.T
+
+
+def _quadratic_roots(r: np.ndarray) -> list[np.ndarray]:
+    """Unit vectors (c0, c1) solving r0 c0^2 + r1 c0 c1 + r2 c1^2 = 0.
+
+    q = -(r1 + sqrt(r1^2 - 4 r0 r2)) / 2 gives (q : r0) and (r2 : q) with
+    no cancellation; a (0, 0) pair is dropped, the other being a double root.
+    """
+    sq = np.sqrt(r[1] ** 2 - 4 * r[0] * r[2] + 0j)
+    if (np.conj(r[1]) * sq).real < 0:
+        sq = -sq
+    q = -0.5 * (r[1] + sq)
+    pairs = (np.array([q, r[0]]), np.array([r[2], q]))
+    return [c / np.linalg.norm(c) for c in pairs if np.linalg.norm(c) > 0]
+
+
+def _product_root_in_span(chi: np.ndarray, n_rest: int) -> np.ndarray:
+    """The vector of span(chi[0], chi[1]) nearest a product, in closed form.
+
+    If c0 chi[0] + c1 chi[1] is a product, every minor triple k of
+    _minor_gram has k . v = 0 at v = (c0^2, c0 c1, c1^2), and so has
+    conj(r) for G's dominant eigenvector r (r lies in the span of the
+    conj(k)).  Of the two roots of conj(r) . v = 0, the less nonproduct
+    one is returned.  With one rest qubit every vector is a product: chi[0].
+    """
+    if n_rest == 1:
+        return chi[0]
+    _, vecs = np.linalg.eigh(_minor_gram(chi, n_rest))
+    roots = _quadratic_roots(np.conj(vecs[:, -1]))
+    cands = [c[0] * chi[0] + c[1] * chi[1] for c in roots]
+    return min(cands, key=lambda w: _nonproductness(w, n_rest))
 
 
 def _assemble_certificate(psi: PureState, us: list, vs: list,
@@ -188,10 +204,17 @@ def detect_ghz_type(psi: PureState, tol: float = DETECT_TOL) -> GhzCertificate:
 
     Branches on the Schmidt gap across qubit 1: product splits fail
     immediately, a clear gap pins the per-qubit bases through the
-    single-qubit RDM eigenvectors, and a (near-)degenerate gap triggers a
-    search for a product pair inside the two-dimensional rest-side
-    eigenspace.
+    single-qubit RDM eigenvectors, and a (near-)degenerate gap solves for
+    the product pair in the rest-side eigenspace span(chi0, chi1) in
+    closed form: every 2x2 minor of c0 chi0 + c1 chi1 is a quadratic in
+    (c0 : c1), and one quadratic from the minors' 3x3 Gram matrix carries
+    the product root.  tol must be finite with 0 < tol <
+    CLEAR_FALSE_NONPRODUCT, where the degenerate branch is a clean no.
     """
+    if not (np.isfinite(tol) and 0.0 < tol < CLEAR_FALSE_NONPRODUCT):
+        raise ValidationError(
+            f"tol must be finite with 0 < tol < {CLEAR_FALSE_NONPRODUCT:g}, "
+            f"got {tol!r}")
     n = psi.n
     if n < 2:
         raise ValidationError("need n >= 2")
@@ -227,16 +250,14 @@ def _detect_gapped(psi, split, tol, diagnostics):
 
 
 def _detect_degenerate(psi, split, tol, diagnostics):
-    """Degenerate branch: product-pair search in the rest-side eigenspace."""
-    n = psi.n
-    n_rest = n - 1
-    th, ph, f_coarse = _search_product_in_span(split.chi, n_rest)
-    if f_coarse > CLEAR_FALSE_NONPRODUCT:
-        return GhzCertificate(False, False, float(np.sqrt(f_coarse)),
+    """Degenerate branch: closed-form product pair in the rest eigenspace."""
+    n_rest = psi.n - 1
+    w0 = _product_root_in_span(split.chi, n_rest)
+    f_root = _nonproductness(w0, n_rest)
+    if f_root > CLEAR_FALSE_NONPRODUCT:
+        return GhzCertificate(False, False, float(np.sqrt(f_root)),
                               diagnostics=dict(diagnostics,
-                                               min_nonproductness=f_coarse))
-    w0 = _subspace_vector(split.chi, th, ph)
-    w0 /= np.linalg.norm(w0)
+                                               min_nonproductness=f_root))
     w0 = _polish_product_in_span(w0, split.chi, n_rest)
     fmin = _nonproductness(w0, n_rest)
     diagnostics = dict(diagnostics, min_nonproductness=fmin)
@@ -247,7 +268,7 @@ def _detect_degenerate(psi, split, tol, diagnostics):
         return GhzCertificate(False, True, float(np.sqrt(fmin)),
                               diagnostics=dict(
                                   diagnostics,
-                                  reason="product search stalled between "
+                                  reason="nearest product lies between "
                                          "accept and reject thresholds"))
     # orthonormal partner inside the two-dimensional span
     c0 = np.vdot(split.chi[0], w0)
@@ -299,8 +320,9 @@ def _polish_product_in_span(w: np.ndarray, chi: np.ndarray,
                             n_rest: int) -> np.ndarray:
     """Alternate nearest-product and span projections from a good start.
 
-    The grid/pattern search localizes the product vector only to about
-    sqrt(nonproductness); this contracts the error quadratically.
+    The closed-form root of _product_root_in_span is exact up to the
+    rounding in the Gram matrix's eigenvector, which the quadratic's
+    conditioning can amplify; this contracts that error quadratically.
     """
     for _ in range(8):
         factors = _factor_product(w, n_rest)

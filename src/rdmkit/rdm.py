@@ -96,3 +96,17 @@ def rdm_max_distance(a: RdmTuple, b: RdmTuple) -> float:
     return max(
         float(np.linalg.norm(x.mat - y.mat))
         for x, y in zip(a.parts, b.parts))
+
+
+def require_equal_rdms(a: RdmTuple, b: RdmTuple) -> None:
+    """Raise ValidationError unless a's parts are within RDM_EQUAL_TOL of b's.
+
+    The message names the first qubit whose parts differ (Frobenius norm).
+    """
+    if a.n != b.n:
+        raise ValidationError(f"qubit counts differ: {a.n} vs {b.n}")
+    for j, (x, y) in enumerate(zip(a.parts, b.parts), start=1):
+        dist = float(np.linalg.norm(x.mat - y.mat))
+        if dist > RDM_EQUAL_TOL:
+            raise ValidationError(
+                f"RDM mismatch at qubit {j}: distance {dist:.3e}")

@@ -21,7 +21,7 @@ import numpy as np
 
 from .qstate import (DensityMatrix, MultiIndex, PureState, ValidationError,
                      hermitian_eig, numeric_rank)
-from .rdm import ptr_tuple, rdm_max_distance
+from .rdm import ptr_tuple, require_equal_rdms
 
 PRODUCT_Q_TOL = 1e-12  # below this, q1 is treated as exactly zero
 
@@ -135,6 +135,8 @@ class Purification:
         if v.shape != (2**self.n * self.env_dim,):
             raise ValidationError(
                 f"expected length {2**self.n * self.env_dim} vector")
+        if not np.isfinite(v).all():
+            raise ValidationError("amplitudes must be finite")
         nv = float(np.linalg.norm(v))
         if abs(nv - 1.0) > 1e-10:
             raise ValidationError(f"purification not normalized: norm {nv!r}")
@@ -210,24 +212,16 @@ class EnvVectors:
         return out
 
 
-def extract_env_vectors(pur: Purification, psi: PureState, j: int,
-                        rdm_tol: float = 1e-9) -> EnvVectors:
+def extract_env_vectors(pur: Purification, psi: PureState,
+                        j: int) -> EnvVectors:
     """Extract E^j_i, e^j_{ir}, Omega^{(j)}_r from a purification.
 
     The purification must purify a state whose RDM tuple matches psi's
-    within rdm_tol; otherwise the offending qubit and distance are
-    reported.  Requires a non-product Schmidt split at qubit j.
+    (rdm.require_equal_rdms); otherwise the offending qubit and distance
+    are reported.  Requires a non-product Schmidt split at qubit j.
     """
-    if pur.n != psi.n:
-        raise ValidationError("qubit counts differ")
-    sys_tuple = ptr_tuple(pur.system_state())
-    psi_tuple = ptr_tuple(psi.projector())
-    for q_label, (a, b) in enumerate(
-            zip(sys_tuple.parts, psi_tuple.parts), start=1):
-        dist = float(np.linalg.norm(a.mat - b.mat))
-        if dist > rdm_tol:
-            raise ValidationError(
-                f"RDM mismatch at qubit {q_label}: distance {dist:.3e}")
+    require_equal_rdms(ptr_tuple(pur.system_state()),
+                       ptr_tuple(psi.projector()))
     split = schmidt_split(psi, j)
     if split.is_product:
         raise ValidationError(

@@ -7,7 +7,8 @@ import pytest
 
 from rdmkit.cli import load_state, main, save_state
 from rdmkit.ghz import GhzParams, ghz_family, make_ghz
-from rdmkit.qstate import DensityMatrix, PureState, haar_random_state
+from rdmkit.qstate import (DensityMatrix, PureState, apply_local_unitaries,
+                           haar_random_state, random_local_unitaries)
 
 INV_SQRT2 = 1 / np.sqrt(2)
 
@@ -145,6 +146,32 @@ def test_verdict_w_state_exits_0(tmp_path, capsys):
     assert report["samples_used"] == 0
     assert report["cross_check"]["method"] == "parent_hamiltonian"
     assert report["cross_check"]["parent_gap"] > 0.01
+
+
+def test_verdict_rotated_degenerate_ghz_exits_3(tmp_path, capsys):
+    # |a| = |b| goes through the detector's degenerate branch; a numeric
+    # search for the product vector there missed this state, and the
+    # verdict said determined with no anomaly
+    p = tmp_path / "ghz109.json"
+    save_state(str(p), apply_local_unitaries(
+        make_ghz(3, np.sqrt(0.5), np.sqrt(0.5)),
+        random_local_unitaries(3, 109)))
+    code, report, _ = run(capsys, ["verdict", str(p), "--restarts", "2"])
+    assert code == 3
+    assert report["determined"] is False
+    assert report["anomaly"] is None
+    wf = report["witness_family"]
+    assert np.allclose(wf["magnitudes"], [INV_SQRT2, INV_SQRT2], atol=1e-8)
+    assert wf["rdm_residual"] <= 1e-9
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "1e9", "inf"])
+def test_verdict_rejects_bad_tol(tmp_path, capsys, tol):
+    path = write_ghz(tmp_path / "ghz.json")
+    code, report, err = run(capsys, ["verdict", path, f"--tol={tol}"])
+    assert code == 2
+    assert report is None
+    assert "tol must be finite" in err
 
 
 def test_verdict_rejects_zero_restarts_on_a_certified_state(tmp_path, capsys):

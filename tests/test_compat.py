@@ -341,6 +341,20 @@ def test_certificate_on_a_ghz_verdict_is_an_anomaly(monkeypatch):
                                 "Hamiltonian (gap 5.000e-01)")
 
 
+def test_every_anomaly_is_kept(monkeypatch):
+    # a GHZ certificate of another state, patched in over a W state, trips
+    # both the cross-check and the witness-family residual
+    ghz_cert = compat.detect_ghz_type(make_ghz(3, np.sqrt(0.7), np.sqrt(0.3)))
+    monkeypatch.setattr(compat, "detect_ghz_type",
+                        lambda psi, tol=1e-8: ghz_cert)
+    v = determinedness(w_state(3), restarts=1, seed=0)
+    assert v.determined is False
+    assert v.cross_check == "parent_hamiltonian"
+    assert v.anomaly.startswith("theorem says undetermined but a parent "
+                                "Hamiltonian")
+    assert "; witness family RDM residual" in v.anomaly
+
+
 # ----------------------------------------------------------- RDM preservation
 
 def test_steps_inside_the_segment_preserve_rdms():

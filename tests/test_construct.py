@@ -137,6 +137,20 @@ def test_partner_low_eigenvalue_crossing():
     assert abs(restr.low_eigenvalue(res.a_star)) <= 1e-10
 
 
+def test_partner_closed_form_roots_complex_phase():
+    # det R(a) = a w11 - a^2 (w11^2 + |w01|^2): roots 0 and a*
+    psi, omega = ghz_pair(4, np.sqrt(0.35), np.sqrt(0.65) * np.exp(0.9j),
+                          0.6 * np.exp(-2.1j))
+    res = pure_partner_details(psi, omega)
+    restr = two_level_restriction(psi, omega)
+    assert res.a_minus == 0.0 and np.copysign(1.0, res.a_minus) == 1.0
+    assert res.a_star > 1.0
+    assert abs(restr.low_eigenvalue(res.a_star)) <= 1e-10
+    w = restr.w
+    expected = w[1, 1].real / (w[1, 1].real ** 2 + abs(w[0, 1]) ** 2)
+    assert abs(res.a_star - expected) <= 1e-12 * expected
+
+
 def test_partner_mixture_closure():
     psi, omega = ghz_pair(4, np.sqrt(0.7), np.sqrt(0.3), -0.4)
     res = pure_partner_details(psi, omega)

@@ -4,6 +4,7 @@ GHZ-type detector."""
 import numpy as np
 import pytest
 
+from rdmkit import ghz
 from rdmkit.ghz import (GhzParams, detect_ghz_type, ghz_family, make_ghz)
 from rdmkit.qstate import (PureState, ValidationError, apply_local_unitaries,
                            haar_random_state, random_local_unitaries)
@@ -113,6 +114,91 @@ def test_detect_rotated_degenerate_ghz():
     assert cert.is_ghz and not cert.inconclusive
     assert cert.residual <= 1e-8
     assert abs(abs(cert.params.a) - INV_SQRT2) < 1e-7
+
+
+@pytest.mark.parametrize("amp, seed", [(np.sqrt(0.5), 109),
+                                       (np.sqrt(0.5), 151),
+                                       (np.sqrt(0.5), 166),
+                                       (np.sqrt(0.5), 636),
+                                       (INV_SQRT2, 338)],
+                         ids=["109", "151", "166", "636", "inv-sqrt2-338"])
+def test_detect_rotated_degenerate_ghz_at_former_search_misses(amp, seed):
+    # a numeric grid-and-pattern search for the product vector called
+    # each of these "not GHZ"
+    psi = apply_local_unitaries(make_ghz(3, amp, amp),
+                                random_local_unitaries(3, seed))
+    cert = detect_ghz_type(psi)
+    assert "min_nonproductness" in cert.diagnostics  # degenerate branch
+    assert cert.is_ghz and not cert.inconclusive
+    assert abs(abs(cert.params.a) - INV_SQRT2) < 1e-8
+    assert abs(abs(cert.params.b) - INV_SQRT2) < 1e-8
+
+
+def test_detect_n2_degenerate_ghz():
+    # one rest qubit: every vector of the span is a product
+    for seed in range(5):
+        psi = apply_local_unitaries(make_ghz(2, INV_SQRT2, INV_SQRT2),
+                                    random_local_unitaries(2, seed))
+        cert = detect_ghz_type(psi)
+        assert "min_nonproductness" in cert.diagnostics
+        assert cert.is_ghz and not cert.inconclusive
+        assert abs(abs(cert.params.a) - INV_SQRT2) < 1e-8
+
+
+def orthonormal_pair(n_qubits, rng):
+    """Two random orthonormal n_qubits-qubit vectors, as rows."""
+    d = 2**n_qubits
+    g = rng.standard_normal((d, 2)) + 1j * rng.standard_normal((d, 2))
+    return np.linalg.qr(g)[0].T
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_detect_degenerate_non_ghz_is_a_clean_no(n):
+    # (|0> chi0 + |1> chi1) / sqrt(2) has q0 = q1 but, for generic chi,
+    # no product vector in span(chi0, chi1)
+    rng = np.random.default_rng(70 + n)
+    for _ in range(20):
+        chi = orthonormal_pair(n - 1, rng)
+        cert = detect_ghz_type(PureState(n, chi.reshape(-1) / np.sqrt(2)))
+        assert "min_nonproductness" in cert.diagnostics
+        assert not cert.is_ghz and not cert.inconclusive
+
+
+def test_minor_gram_is_half_the_nonproductness():
+    # v^H G v with v = (c0^2, c0 c1, c1^2) is the sum of |minor|^2 over all
+    # one-qubit cuts of w = c0 chi0 + c1 chi1
+    rng = np.random.default_rng(5)
+    for n_rest in (2, 3, 4):
+        chi = orthonormal_pair(n_rest, rng)
+        gram = ghz._minor_gram(chi, n_rest)
+        assert np.allclose(gram, gram.conj().T, atol=1e-14)
+        for _ in range(5):
+            c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            c /= np.linalg.norm(c)
+            v = np.array([c[0] ** 2, c[0] * c[1], c[1] ** 2])
+            w = c[0] * chi[0] + c[1] * chi[1]
+            assert abs(np.vdot(v, gram @ v)
+                       - ghz._nonproductness(w, n_rest) / 2) < 1e-12
+
+
+@pytest.mark.parametrize("r", [(1, -3, 2), (0, 1, 0), (1, 0, 0), (0, 0, 1),
+                               (1j, 0.5, -2 + 1j)])
+def test_quadratic_roots(r):
+    r = np.asarray(r, dtype=complex)
+    roots = ghz._quadratic_roots(r)
+    assert roots
+    for c in roots:
+        assert abs(np.linalg.norm(c) - 1) < 1e-14
+        assert abs(r[0] * c[0] ** 2 + r[1] * c[0] * c[1]
+                   + r[2] * c[1] ** 2) < 1e-14
+    if r[1] != 0 or r[0] * r[2] != 0:  # two distinct roots
+        assert len(roots) == 2 and abs(np.vdot(*roots)) < 1 - 1e-6
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0, 0.0, 1e-4, 1e9])
+def test_detect_rejects_bad_tol(tol):
+    with pytest.raises(ValidationError, match="tol"):
+        detect_ghz_type(make_ghz(3, INV_SQRT2, INV_SQRT2), tol)
 
 
 def test_detect_w_state_false():
