@@ -1,11 +1,11 @@
 """Toolkit for deciding whether an n-qubit pure state is determined by its
 (n-1)-qubit reduced density matrices."""
 
-from .compat import (CompatVerdict, Direction, FullWeightBasis,
+from .compat import (CompatVerdict, Direction, FaceCheck, FullWeightBasis,
                      ParentHamiltonian, WitnessFamily, determinedness,
                      direction_from_coeffs, direction_from_matrix,
-                     fullweight_basis, parent_hamiltonian, rank2_check,
-                     search_max_tmax, tmax_along)
+                     face_check, fullweight_basis, parent_hamiltonian,
+                     rank2_check, search_max_tmax, tmax_along)
 from .construct import (PartnerResult, TheoremViolation, TwoLevelRestriction,
                         eigen2, mixture_state, pure_partner,
                         pure_partner_details, two_level_restriction)

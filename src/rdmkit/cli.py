@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from . import compat, construct, ghz, qstate, schmidt
+from . import __version__, compat, construct, ghz, qstate, schmidt
 from .qstate import DensityMatrix, PureState, ValidationError
 from .rdm import ptr_tuple, rdm_max_distance
 
@@ -98,7 +98,8 @@ def _digest(path: str) -> str:
 
 def _report(args, **results):
     doc = {"command": " ".join(args._argv),
-           "elapsed_s": round(time.perf_counter() - args._t0, 3)}
+           "elapsed_s": round(time.perf_counter() - args._t0, 3),
+           "versions": {"rdmkit": __version__, "numpy": np.__version__}}
     doc.update(results)
     print(json.dumps(doc, indent=2, default=_jsonable))
     return doc
@@ -150,6 +151,15 @@ def _certificate_summary(cert):
     return out
 
 
+def _cross_check_summary(verdict):
+    face = verdict.face
+    return {"method": verdict.cross_check, "parent_gap": verdict.parent_gap,
+            "kernel_dim": face and face.kernel_dim,
+            "null_dim": face and face.null_dim,
+            "min_nonzero_singular": face and face.min_singular,
+            "lambda_min": face and face.lambda_min}
+
+
 def cmd_verdict(args) -> int:
     state = load_state(args.input)
     if not isinstance(state, PureState):
@@ -164,8 +174,7 @@ def cmd_verdict(args) -> int:
         "determined": verdict.determined,
         "numeric_sup_tmax": verdict.numeric_sup_tmax,
         "samples_used": verdict.samples_used,
-        "cross_check": {"method": verdict.cross_check,
-                        "parent_gap": verdict.parent_gap},
+        "cross_check": _cross_check_summary(verdict),
         "certificate": _certificate_summary(verdict.ghz_certificate),
         "anomaly": verdict.anomaly,
     }
@@ -218,8 +227,9 @@ def _random_ghz_params(n, rng):
 
 
 def cmd_sweep(args) -> int:
-    if not 2 <= args.n <= 6:
-        raise CliError(f"n must be in 2..6, got {args.n}")
+    if not 2 <= args.n <= compat.CROSS_CHECK_NMAX:
+        raise CliError(
+            f"n must be in 2..{compat.CROSS_CHECK_NMAX}, got {args.n}")
     n = args.n
     counts = {"determined": 0, "undetermined": 0, "inconclusive": 0,
               "anomalies": 0, "rank2_failures": 0}

@@ -14,15 +14,24 @@ are an independent cross-check, not the decision procedure.
    Such an H is a checkable proof that psi is determined; it bounds every
    RDM-preserving step.  When that bound is at most CERTIFY_TMAX,
    `numeric_sup_tmax` is the certified upper bound, `samples_used` is 0,
-   and the search is skipped.
-2. `search_max_tmax`, otherwise: a heuristic search for the largest
-   feasible step.  `numeric_sup_tmax` is the largest step it found (a
-   lower bound on the supremum, reported as an upper bound below 1e-9),
-   and `samples_used` counts the directions it tried.
+   and the face check is skipped.
+2. `face_check`, otherwise: an exact check on the face of the state space
+   that H leaves to the compatible states.  tr(H rho) is fixed by rho's
+   (n-1)-RDMs, so when H >= 0 and H psi = 0 every compatible rho lives on
+   G = ker H, and the compatible states are psi psi^dag + X >= 0 with X
+   Hermitian on G and every one-qubit-removed partial trace of X zero.
+   That is a linear problem in k^2 real unknowns, k = dim G.  Its null
+   space N = {0} proves psi determined (`numeric_sup_tmax` 0.0);
+   otherwise `tmax_along` on candidate directions in N gives an explicit
+   compatible state, `numeric_sup_tmax` is the largest step found, and
+   `samples_used` counts the directions stepped.  No random number is
+   involved and the check never reads the detector's output.
 
-GHZ-type states never have such an H (their RDMs admit other states), so
-they always reach the search.  A parent Hamiltonian is sufficient but not
-necessary, so a missing one is never an anomaly on its own.
+GHZ-type states never have a certificate (their RDMs admit other
+states), so they always reach the face check.  A parent Hamiltonian is
+sufficient but not necessary, so a missing one is never an anomaly on its
+own.  `search_max_tmax`, a seeded random-restart search for the largest
+feasible step, is kept as a library function; no verdict calls it.
 """
 
 from __future__ import annotations
@@ -36,8 +45,8 @@ import numpy as np
 from .ghz import GhzCertificate, GhzParams, detect_ghz_type, ghz_family
 from .qstate import (DensityMatrix, PauliWord, PureState, ValidationError,
                      numeric_rank)
-from .rdm import (partial_trace_matrix, ptr_tuple, rdm_max_distance,
-                  require_equal_rdms)
+from .rdm import (RDM_EQUAL_TOL, partial_trace_matrix, ptr_tuple,
+                  rdm_max_distance, require_equal_rdms)
 
 PSD_FEAS_TOL = 1e-10    # rho + t*Delta counts as PSD down to this eigenvalue
 BISECT_TOL = 1e-12
@@ -49,7 +58,20 @@ SEARCH_FLOOR = 1e-9     # below this, search reports an upper bound only
 # sqrt(eps); 1e-14 keeps those below 1e-6 while leaving genuine
 # boundaries (finite slope) essentially unchanged
 SEARCH_PSD_TOL = 1e-14
-CERTIFY_TMAX = 1e-6     # a parent-Hamiltonian bound this small skips search
+CERTIFY_TMAX = 1e-6     # a certified bound this small skips the face check
+# H's eigenvectors below FACE_KERNEL_CUT span the face G.  On exact GHZ
+# states H's two kernel eigenvalues lie below 1e-14 and the next one above
+# 0.85.  Near a GHZ state, at distance eps, the second eigenvalue falls as
+# eps^2 and enters G once eps < ~1e-4, where N is still {0} (its system's
+# smallest singular value is ~eps, far above FACE_NULL_CUT).  A larger G
+# only admits more candidate states, so the cut errs on the safe side.
+FACE_KERNEL_CUT = 1e-8
+# Singular values of the face's partial-trace system below FACE_NULL_CUT
+# span N.  On exact GHZ states they lie below 1e-14 and the others above
+# 1.7.  Near a GHZ state the smallest falls linearly in eps, as the
+# detector's residual does, so the cut sits at the detector's DETECT_TOL
+# and both draw the GHZ boundary at about the same eps.
+FACE_NULL_CUT = 1e-8
 CROSS_CHECK_NMAX = 6    # the cross-checks are dense in 2^n x 2^n matrices
 
 
@@ -257,15 +279,13 @@ def _pair_directions(n: int) -> np.ndarray:
     return out[:k]
 
 
-def search_max_tmax(rho: DensityMatrix, restarts: int, seed: int,
-                    extra_directions: tuple = ()) -> float:
+def search_max_tmax(rho: DensityMatrix, restarts: int, seed: int) -> float:
     """Largest feasible RDM-preserving step found by heuristic search.
 
     Deterministic in (rho, restarts, seed).  Candidates: the sparse
-    complementary-pair directions, any caller-supplied extras, all 3^n
-    basis words, then `restarts` random unit directions each refined by
-    batched coordinate ascent with a shrinking step.  Values below 1e-9
-    are reported as upper bounds.
+    complementary-pair directions, all 3^n basis words, then `restarts`
+    random unit directions each refined by batched coordinate ascent with
+    a shrinking step.  Values below 1e-9 are reported as upper bounds.
     """
     if restarts < 1:
         raise ValidationError("restarts must be >= 1")
@@ -273,9 +293,6 @@ def search_max_tmax(rho: DensityMatrix, restarts: int, seed: int,
     stack = _word_stack(n)
     norm_words = stack / np.sqrt(2**n)
     best, _ = _batched_max_boundary(rho.mat, _pair_directions(n), 0.0)
-    for extra in extra_directions:
-        mat = extra.matrix if isinstance(extra, Direction) else np.asarray(extra)
-        best, _ = _batched_max_boundary(rho.mat, mat[None], best)
     best, _ = _batched_max_boundary(rho.mat, norm_words, best)
 
     def build_one(coeffs):
@@ -345,7 +362,7 @@ class ParentHamiltonian:
     `matrix` is H, `gap` its second-smallest eigenvalue g, and `bound`
     the certified upper bound on every RDM-preserving step (infinite when
     g <= 0).  `certifies` says whether the bound is small enough to stand
-    in for the search.
+    in for the face check.
     """
 
     matrix: np.ndarray = field(repr=False)
@@ -369,8 +386,8 @@ def parent_hamiltonian(psi: PureState) -> ParentHamiltonian:
     being orthogonal) leaves H, and one eigvalsh gives its spectrum.
 
     Why H bounds the step.  Every word in V is trace-orthogonal to every
-    full-weight word, so tr(H Delta) = 0 for each direction Delta the
-    search explores.  Let rho = |psi><psi| + t Delta be PSD, with Delta
+    full-weight word, so tr(H Delta) = 0 for every RDM-preserving
+    direction Delta.  Let rho = |psi><psi| + t Delta be PSD, with Delta
     traceless and of unit Frobenius norm, so |t| = ||rho - psi psi^dag||_F.
     Write eps = <psi|H|psi>, r = ||H psi||, lambda_min <= g for H's two
     lowest eigenvalues and phi its ground vector.  Then:
@@ -442,6 +459,111 @@ class WitnessFamily:
 
 
 @dataclass(frozen=True)
+class FaceCheck:
+    """What the face check found on the kernel of a parent Hamiltonian.
+
+    `kernel_dim` is k = dim G, `null_dim` is dim N, `min_singular` the
+    smallest singular value of the partial-trace system above
+    FACE_NULL_CUT and `lambda_min` H's lowest eigenvalue.  `step` is the
+    largest RDM-preserving step found along the `directions` candidates:
+    0.0 when N = {0} proves that there is none, NaN when N = {0} but H is
+    not PSD within FACE_KERNEL_CUT, so that nothing is proved.
+    `compatible` is psi psi^dag moved by that step, a state with psi's
+    RDMs, or None when no step was taken.
+    """
+
+    kernel_dim: int
+    null_dim: int
+    min_singular: float
+    lambda_min: float
+    step: float
+    directions: int
+    compatible: DensityMatrix | None = field(default=None, repr=False)
+
+
+def _hermitian_basis(k: int) -> np.ndarray:
+    """Frobenius-orthonormal real basis of the k x k Hermitian matrices."""
+    out = np.zeros((k * k, k, k), dtype=complex)
+    for i in range(k):
+        out[i, i, i] = 1.0
+    m = k
+    for i, j in itertools.combinations(range(k), 2):
+        out[m, i, j] = out[m, j, i] = 1 / np.sqrt(2)
+        out[m + 1, i, j] = 1j / np.sqrt(2)
+        out[m + 1, j, i] = -1j / np.sqrt(2)
+        m += 2
+    return out
+
+
+def face_check(psi: PureState, parent: ParentHamiltonian) -> FaceCheck:
+    """Find the states with psi's RDMs on the kernel of its parent H.
+
+    Why the face holds every compatible state.  H lies in the span of the
+    words with an identity letter, so tr(H rho) is fixed by rho's
+    (n-1)-RDMs, and a state rho with psi's RDMs has tr(H rho) =
+    <psi|H|psi> ~ 0.  When H >= 0, rho therefore lives on G, the span of
+    H's eigenvectors below FACE_KERNEL_CUT (one `eigh`).  So rho =
+    psi psi^dag + X with X Hermitian on G and every one-qubit-removed
+    partial trace of X zero.  Writing X over the k^2 Hermitian basis
+    elements of G makes that a real linear system of shape
+    (n 4^(n-1) 2) x k^2; one thin SVD gives its null space N.
+
+    * N = {0}: psi psi^dag is the only compatible state, so psi is
+      determined, and `step` is 0.0.
+    * Otherwise every basis element of N is an RDM-preserving direction,
+      and `tmax_along` from psi psi^dag along it gives an explicit
+      compatible state.  For k = 2, G = span(psi, psi') with psi' orthogonal
+      to psi.  A nonzero X in N is traceless, so psi psi^dag + t X is PSD
+      for some t != 0 iff <psi'|X|psi'> != 0.  A compatible state other
+      than psi psi^dag therefore exists iff that functional is nonzero on
+      N, hence on one of N's basis elements: stepping along each basis
+      element is exact.
+    * For k > 2 (at n = 2 H is 0 and k = 4) the candidates also include
+      the projection onto N of rho_1 (x) ... (x) rho_n - psi psi^dag,
+      where rho_j are psi's one-qubit RDMs.  At n = 2 that matrix is
+      already in N, and every point of the segment to it is a state.
+    """
+    n = psi.n
+    evals, evecs = np.linalg.eigh(parent.matrix)
+    lam_min = float(evals[0])
+    g = evecs[:, evals < FACE_KERNEL_CUT]
+    k = g.shape[1]
+    mats = np.einsum("ia,mab,jb->mij", g, _hermitian_basis(k), g.conj())
+    traces = np.array([
+        np.concatenate([partial_trace_matrix(m, n, [j]).ravel()
+                        for j in range(1, n + 1)]) for m in mats])
+    system = np.concatenate([traces.real, traces.imag], axis=1).T
+    _, svals, vt = np.linalg.svd(system, full_matrices=False)
+    null = vt[svals <= FACE_NULL_CUT]
+    candidates = [np.tensordot(c, mats, axes=1) for c in null]
+    rho = psi.projector()
+    if k > 2 and len(null):
+        product = np.ones((1, 1))
+        for j in range(1, n + 1):
+            others = [i for i in range(1, n + 1) if i != j]
+            product = np.kron(product,
+                              partial_trace_matrix(rho.mat, n, others))
+        # the basis elements are Hermitian and orthonormal, so the
+        # coefficients of a Hermitian matrix are tr(B_m M)
+        coeffs = np.real(np.einsum("mij,ji->m", mats, product - rho.mat))
+        coeffs = null.T @ (null @ coeffs)
+        if np.linalg.norm(coeffs) > FACE_NULL_CUT:
+            candidates.append(np.tensordot(coeffs, mats, axes=1))
+    step, compatible = 0.0, None
+    for x in candidates:
+        d = direction_from_matrix(n, x, span_tol=FACE_NULL_CUT)
+        for t in tmax_along(rho, d):
+            if abs(t) > step:
+                step, compatible = abs(t), rho.mat + t * d.matrix
+    if not len(null) and lam_min < -FACE_KERNEL_CUT:
+        step = float("nan")
+    return FaceCheck(
+        k, len(null), float(np.min(svals[svals > FACE_NULL_CUT])), lam_min,
+        step, len(candidates),
+        None if compatible is None else DensityMatrix(n, compatible))
+
+
+@dataclass(frozen=True)
 class CompatVerdict:
     determined: bool | None          # None when inconclusive
     ghz_certificate: GhzCertificate
@@ -451,25 +573,9 @@ class CompatVerdict:
     anomaly: str | None = None
     witness_rdm_residual: float | None = None
     parent_gap: float | None = None  # None when no cross-check ran
-
-    @property
-    def cross_check(self) -> str | None:
-        """Which cross-check ran: "parent_hamiltonian", "search" or None."""
-        if self.parent_gap is None:
-            return None
-        return "parent_hamiltonian" if self.samples_used == 0 else "search"
-
-
-def _witness_directions(n: int, local_bases) -> list[Direction]:
-    """The two in-span directions joining the GHZ pair's product states."""
-    g0 = np.ones(1, dtype=complex)
-    g1 = np.ones(1, dtype=complex)
-    for (uk, vk) in local_bases:
-        g0 = np.kron(g0, uk)
-        g1 = np.kron(g1, vk)
-    off = np.outer(g0, g1.conj())
-    return [direction_from_matrix(n, mat / np.sqrt(2), span_tol=1e-6)
-            for mat in (off + off.conj().T, 1j * off - 1j * off.conj().T)]
+    # which cross-check ran: "parent_hamiltonian", "face" or None
+    cross_check: str | None = None
+    face: FaceCheck | None = None    # None unless the face check ran
 
 
 def determinedness(psi: PureState, tol: float = 1e-8,
@@ -478,8 +584,11 @@ def determinedness(psi: PureState, tol: float = 1e-8,
 
     The verdict follows the GHZ-type theorem: determined iff psi is not
     GHZ-type.  An independent numeric cross-check follows: a parent
-    Hamiltonian certificate first, the feasibility search when no
-    certificate exists.  Disagreement is reported as an anomaly, never
+    Hamiltonian certificate first, and the face check on that
+    Hamiltonian's kernel when the certificate does not certify (see the
+    module docstring and `face_check`).  Both are deterministic, so
+    `restarts` and `seed` no longer move the result; `restarts` is still
+    validated (>= 1).  Disagreement is reported as an anomaly, never
     silently reconciled; several anomalies are joined with "; " in the
     order they are found.
     """
@@ -500,30 +609,30 @@ def determinedness(psi: PureState, tol: float = 1e-8,
             rdm_max_distance(ptr_tuple(family.member(z)), psi_tuple)
             for z in (0.0, -1.0, 0.5j))
     parent = parent_hamiltonian(psi)
+    face = None
     if parent.certifies:
-        sup, samples = parent.bound, 0
+        method, sup, samples = "parent_hamiltonian", parent.bound, 0
         found = (f"a parent Hamiltonian (gap {parent.gap:.3e}) bounds "
                  f"every step by {sup:.3e}")
     else:
-        extras = (_witness_directions(psi.n, cert.local_bases)
-                  if cert.is_ghz else [])
-        sup = search_max_tmax(psi.projector(), restarts, seed,
-                              extra_directions=tuple(extras))
-        samples = 3**psi.n + 2**psi.n + len(extras) + restarts
-        found = f"search found no feasible step (sup {sup:.3e})"
+        face = face_check(psi, parent)
+        method, sup, samples = "face", face.step, face.directions
+        found = (f"the face check found no compatible state (largest step "
+                 f"{sup:.3e}, kernel dim {face.kernel_dim}, null dim "
+                 f"{face.null_dim})")
     determined = not cert.is_ghz
     anomalies = []
     if determined and sup > 1e-4:
-        anomalies.append(f"theorem says determined but search found a "
-                         f"feasible step of size {sup:.3e}")
-    if not determined and sup < 1e-6:
+        anomalies.append(f"theorem says determined but the face check "
+                         f"found a compatible state at step {sup:.3e}")
+    if not determined and not sup >= 1e-6:
         anomalies.append(f"theorem says undetermined but {found}")
-    if witness_res is not None and witness_res > 1e-9:
+    if witness_res is not None and witness_res > RDM_EQUAL_TOL:
         anomalies.append(f"witness family RDM residual {witness_res:.3e} "
-                         f"exceeds 1e-9")
+                         f"exceeds {RDM_EQUAL_TOL:.0e}")
     return CompatVerdict(determined, cert, family, sup, samples,
                          "; ".join(anomalies) or None, witness_res,
-                         parent.gap)
+                         parent.gap, method, face)
 
 
 def rank2_check(psi: PureState, omega: DensityMatrix) -> bool:

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import rdmkit
 from rdmkit.cli import load_state, main, save_state
 from rdmkit.ghz import GhzParams, ghz_family, make_ghz
 from rdmkit.qstate import (DensityMatrix, PureState, apply_local_unitaries,
@@ -81,6 +82,8 @@ def test_report_command_is_the_argv_given_to_main(tmp_path, capsys):
     assert code == 0
     assert report["command"] == f"rdm {path}"
     assert report["elapsed_s"] >= 0
+    assert report["versions"] == {"rdmkit": rdmkit.__version__,
+                                  "numpy": np.__version__}
 
 
 # ------------------------------------------------------------------------ rdm
@@ -130,8 +133,13 @@ def test_verdict_ghz_exits_3_with_witness(tmp_path, capsys):
     assert "witness_family" in report
     assert report["witness_family"]["rdm_residual"] <= 1e-9
     assert report["numeric_sup_tmax"] > 0.1
-    assert report["cross_check"]["method"] == "search"
+    assert report["cross_check"]["method"] == "face"
     assert report["cross_check"]["parent_gap"] <= 1e-8
+    assert report["cross_check"]["kernel_dim"] == 2
+    assert report["cross_check"]["null_dim"] == 2
+    assert report["cross_check"]["min_nonzero_singular"] > 1.0
+    assert abs(report["cross_check"]["lambda_min"]) <= 1e-12
+    assert report["samples_used"] == 2
 
 
 def test_verdict_w_state_exits_0(tmp_path, capsys):
@@ -146,6 +154,7 @@ def test_verdict_w_state_exits_0(tmp_path, capsys):
     assert report["samples_used"] == 0
     assert report["cross_check"]["method"] == "parent_hamiltonian"
     assert report["cross_check"]["parent_gap"] > 0.01
+    assert report["cross_check"]["kernel_dim"] is None
 
 
 def test_verdict_rotated_degenerate_ghz_exits_3(tmp_path, capsys):

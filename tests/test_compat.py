@@ -6,14 +6,15 @@ import pytest
 
 from rdmkit import compat
 from rdmkit.compat import (determinedness, direction_from_coeffs,
-                           direction_from_matrix, fullweight_basis,
-                           parent_hamiltonian, rank2_check, search_max_tmax,
-                           tmax_along)
+                           direction_from_matrix, face_check,
+                           fullweight_basis, parent_hamiltonian, rank2_check,
+                           search_max_tmax, tmax_along)
 from rdmkit.ghz import GhzCertificate, GhzParams, ghz_family, make_ghz
 from rdmkit.qstate import (DensityMatrix, PauliWord, PureState,
                            ValidationError, apply_local_unitaries,
                            haar_random_state, random_local_unitaries)
-from rdmkit.rdm import partial_trace_matrix, ptr_tuple, rdm_max_distance
+from rdmkit.rdm import (partial_trace_matrix, ptr_tuple, rdm_max_distance,
+                        require_equal_rdms)
 
 INV_SQRT2 = 1 / np.sqrt(2)
 W3 = np.zeros(8, dtype=complex)
@@ -306,15 +307,13 @@ def test_ghz_gets_no_certificate_and_search_runs(n):
     v = determinedness(psi, restarts=1, seed=0)
     assert v.determined is False
     assert v.anomaly is None
-    assert v.cross_check == "search"
+    assert v.cross_check == "face"
     assert v.samples_used > 0
     assert v.parent_gap == parent.gap
     assert v.numeric_sup_tmax > 0.1
 
 
 def test_search_fallback_still_flags_a_misclassified_ghz(monkeypatch):
-    # unrotated, so the search's complementary-pair seeds reach the step
-    # even without the witness directions a GHZ verdict would add
     psi = make_ghz(3, np.sqrt(0.7), np.sqrt(0.3))
 
     def says_not_ghz(psi, tol=1e-8):
@@ -323,9 +322,34 @@ def test_search_fallback_still_flags_a_misclassified_ghz(monkeypatch):
     monkeypatch.setattr(compat, "detect_ghz_type", says_not_ghz)
     v = determinedness(psi, restarts=1, seed=0)
     assert v.determined is True
-    assert v.cross_check == "search"
+    assert v.cross_check == "face"
     assert v.numeric_sup_tmax > 0.1
     assert v.anomaly.startswith("theorem says determined")
+
+
+@pytest.mark.parametrize("n, seed", [(3, 4500), (4, 4404)])
+def test_face_check_flags_a_misclassified_rotated_ghz(monkeypatch, n, seed):
+    # a random-restart search finds no step on these rotated states unless
+    # the detector hands it the witness directions; the face check needs no
+    # help from the detector
+    not_ghz = GhzCertificate(False, False, 0.5)
+    monkeypatch.setattr(compat, "detect_ghz_type",
+                        lambda psi, tol=1e-8: not_ghz)
+    v = determinedness(rotated_ghz(n, seed))
+    assert v.determined is True
+    assert v.cross_check == "face"
+    assert v.numeric_sup_tmax > 0.1
+    assert v.anomaly.startswith("theorem says determined but the face check")
+
+
+def test_verdict_never_runs_the_search(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("search_max_tmax called")
+
+    monkeypatch.setattr(compat, "search_max_tmax", no_search)
+    for psi in (rotated_ghz(3, 4403), haar_random_state(3, 4404)):
+        v = determinedness(psi)
+        assert v.anomaly is None
 
 
 def test_certificate_on_a_ghz_verdict_is_an_anomaly(monkeypatch):
@@ -353,6 +377,86 @@ def test_every_anomaly_is_kept(monkeypatch):
     assert v.anomaly.startswith("theorem says undetermined but a parent "
                                 "Hamiltonian")
     assert "; witness family RDM residual" in v.anomaly
+
+
+# ----------------------------------------------------------------- face check
+
+def ghz_corpus():
+    for n in (3, 4, 5):
+        for k in range(2):
+            yield rotated_ghz(n, 4700 + 10 * n + k)
+            yield rotated(make_ghz(n, np.sqrt(0.5), np.sqrt(0.5)),
+                          4800 + 10 * n + k)
+
+
+def test_face_of_a_rotated_ghz_state_has_k_2_and_dim_n_2():
+    for psi in ghz_corpus():
+        face = face_check(psi, parent_hamiltonian(psi))
+        assert (face.kernel_dim, face.null_dim) == (2, 2), psi.n
+        assert face.directions == 2
+        assert face.min_singular > 1.0
+        assert abs(face.lambda_min) <= 1e-12
+        assert face.step > 0.1
+
+
+@pytest.mark.parametrize("a2", [0.5, 0.95, 0.99])
+def test_face_check_steps_to_the_product_of_marginals_at_n2(a2):
+    # at n=2 H is 0 and k = 4; stepping along a basis of N alone finds
+    # nothing at a2 = 0.95, the segment to rho_A (x) rho_B does
+    amps = np.array([np.sqrt(a2), 0, 0, np.sqrt(1 - a2)], dtype=complex)
+    psi = rotated(PureState(2, amps), 4900)
+    face = face_check(psi, parent_hamiltonian(psi))
+    assert (face.kernel_dim, face.null_dim, face.directions) == (4, 9, 10)
+    rho = psi.projector().mat
+    product = np.kron(partial_trace_matrix(rho, 2, {2}),
+                      partial_trace_matrix(rho, 2, {1}))
+    assert face.step >= np.linalg.norm(product - rho) - 1e-9
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
+def test_face_check_proves_near_ghz_states_determined(n, eps):
+    amps = (make_ghz(n, np.sqrt(0.7), np.sqrt(0.3)).amps
+            + eps * haar_random_state(n, 4950 + n).amps)
+    psi = rotated(PureState(n, amps / np.linalg.norm(amps)), 4960 + n)
+    assert not parent_hamiltonian(psi).certifies
+    v = determinedness(psi)
+    assert v.determined is True
+    assert v.anomaly is None
+    assert v.cross_check == "face"
+    assert v.face.null_dim == 0
+    assert v.numeric_sup_tmax == 0.0
+    assert v.samples_used == 0
+
+
+def test_face_check_returns_a_compatible_state():
+    two_qubit = PureState(2, np.array([0.9, 0, 0, np.sqrt(0.19)],
+                                      dtype=complex))
+    for psi in (rotated_ghz(3, 4501), rotated_ghz(4, 4502),
+                rotated(two_qubit, 4503)):
+        face = face_check(psi, parent_hamiltonian(psi))
+        omega = face.compatible
+        assert np.linalg.eigvalsh(omega.mat)[0] >= -1e-9
+        require_equal_rdms(ptr_tuple(omega), ptr_tuple(psi.projector()))
+        moved = np.linalg.norm(omega.mat - psi.projector().mat)
+        assert abs(moved - face.step) <= 1e-9
+
+
+def test_face_check_proves_nothing_when_h_is_not_psd():
+    # H psi = 0 and ker H = span(psi), but H has an eigenvalue -1, so a
+    # compatible state need not live on the face: no step, and NaN
+    psi = haar_random_state(3, 4504)
+    phi = haar_random_state(3, 4505).amps
+    phi = phi - np.vdot(psi.amps, phi) * psi.amps
+    phi /= np.linalg.norm(phi)
+    h = (np.eye(8) - np.outer(psi.amps, psi.amps.conj())
+         - 2 * np.outer(phi, phi.conj()))
+    face = face_check(psi, compat.ParentHamiltonian(h, gap=-1.0,
+                                                    bound=np.inf))
+    assert (face.kernel_dim, face.null_dim) == (2, 0)
+    assert face.lambda_min == pytest.approx(-1.0)
+    assert np.isnan(face.step)
+    assert face.compatible is None
 
 
 # ----------------------------------------------------------- RDM preservation
