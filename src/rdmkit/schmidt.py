@@ -1,5 +1,14 @@
 """Schmidt splits across one qubit, purifications, environment vectors.
 
+A split across qubit j works on M, psi's amplitudes as a 2 x 2^(n-1)
+matrix with qubit j as the row index.  The rest-side RDM is
+M^T conj(M), so its eigenvalues are the squared singular values of M and
+its eigenvectors are the right singular vectors (the rows of Vh in
+M = U S Vh).  One thin SVD of M gives the whole split in O(2^n) time and
+memory; no 2^(n-1) x 2^(n-1) matrix is formed.  Each rest-side vector
+chi_i is fixed up to phase by making its largest-magnitude component
+real positive.
+
 The environment-vector machinery: a purification Omega of a state omega
 sharing psi's RDMs can be expanded against the Schmidt data of psi at any
 qubit j, producing vectors E^j_i on (qubit j + environment) and
@@ -33,18 +42,10 @@ def _fix_phase(v: np.ndarray) -> np.ndarray:
     return v / ph
 
 
-def _split_axes(psi: PureState, j: int) -> np.ndarray:
-    """Amplitudes reshaped to (pre, qubit j, post)."""
-    n = psi.n
-    return psi.amps.reshape(2 ** (j - 1), 2, 2 ** (n - j))
-
-
-def insert_qubit_factor(rest: np.ndarray, single: np.ndarray,
-                        j: int, n: int) -> np.ndarray:
-    """Tensor an (n-1)-qubit vector with a 1-qubit vector placed at slot j."""
-    pre, post = 2 ** (j - 1), 2 ** (n - j)
-    r = rest.reshape(pre, post)
-    return np.einsum("ab,x->axb", r, single).reshape(-1)
+def _amplitude_matrix(psi: PureState, j: int) -> np.ndarray:
+    """psi's amplitudes as M, 2 x 2^(n-1), with qubit j as the row index."""
+    p3 = psi.amps.reshape(2 ** (j - 1), 2, 2 ** (psi.n - j))
+    return np.moveaxis(p3, 1, 0).reshape(2, -1)
 
 
 @dataclass(frozen=True)
@@ -80,37 +81,35 @@ class SchmidtSplit:
         return np.stack([self.alpha(0), self.alpha(1)], axis=1)
 
     def reconstruction_residual(self, psi: PureState) -> float:
-        out = np.zeros(2**self.n, dtype=complex)
+        """||sum_i sqrt(q_i) alpha_i chi_i^T - M||_F over the defined rows."""
+        m = _amplitude_matrix(psi, self.j)
         rows = 1 if self.is_product else 2
         for i in range(rows):
-            out += np.sqrt(self.q[i]) * insert_qubit_factor(
-                self.chi[i], self.alpha(i), self.j, self.n)
-        return float(np.linalg.norm(out - psi.amps))
+            m = m - np.sqrt(self.q[i]) * np.outer(self.alpha(i), self.chi[i])
+        return float(np.linalg.norm(m))
 
 
 def schmidt_split(psi: PureState, j: int) -> SchmidtSplit:
-    """Schmidt-decompose psi across qubit j (1-based)."""
+    """Schmidt-decompose psi across qubit j (1-based).
+
+    One thin SVD M = U S Vh of the 2 x 2^(n-1) amplitude matrix gives
+    q_i = s_i^2 and chi_i = Vh[i], the eigenpairs of the rest-side RDM
+    M^T conj(M); O(2^n) time and memory.  Each chi_i is phase-fixed
+    (largest-magnitude component real positive), and alpha_i is the
+    contraction M conj(chi_i) / sqrt(q_i).
+    """
     n = psi.n
     if n < 2:
         raise ValidationError("need n >= 2 for a Schmidt split")
     if not 1 <= j <= n:
         raise ValidationError(f"qubit {j} out of range 1..{n}")
-    p3 = _split_axes(psi, j)
-    # rest-side RDM, (2^{n-1}) x (2^{n-1})
-    rho_rest = np.einsum("axb,cxd->abcd", p3, p3.conj())
-    d = 2 ** (n - 1)
-    dec = hermitian_eig(rho_rest.reshape(d, d))
-    q0, q1 = float(dec.eigenvalues[-1]), float(max(dec.eigenvalues[-2], 0.0))
-    chi = np.stack([
-        _fix_phase(dec.eigenvectors[:, -1]),
-        _fix_phase(dec.eigenvectors[:, -2]),
-    ])
-    pre, post = 2 ** (j - 1), 2 ** (n - j)
+    m = _amplitude_matrix(psi, j)
+    _, s, vh = np.linalg.svd(m, full_matrices=False)
+    q0, q1 = float(s[0] ** 2), float(s[1] ** 2)
+    chi = np.stack([_fix_phase(vh[0]), _fix_phase(vh[1])])
 
     def contract_alpha(i, q):
-        c = chi[i].reshape(pre, post)
-        v = np.einsum("ab,axb->x", c.conj(), p3)
-        return v / np.sqrt(q)
+        return m @ chi[i].conj() / np.sqrt(q)
 
     alpha0 = contract_alpha(0, q0)
     alpha1 = None if q1 <= PRODUCT_Q_TOL else contract_alpha(1, q1)
@@ -311,16 +310,17 @@ def product_split_test(psi: PureState, j: int, tol: float = 1e-8) -> bool:
 
     Spectral route: q1 of the Schmidt split is <= tol.  Independent
     cross-check: the sum of squared 2x2 minors of the (qubit j) x (rest)
-    amplitude matrix equals q0*q1 (Cauchy-Binet), so minors vanish iff
-    the amplitude-ratio condition holds.  Disagreement between the two
-    routes beyond 10*tol signals numerical breakdown and is rejected.
+    amplitude matrix M equals det(M M^dag) = q0*q1 (Cauchy-Binet), so
+    minors vanish iff the amplitude-ratio condition holds; the 2x2 Gram
+    determinant costs O(2^n).  Disagreement between the two routes beyond
+    10*tol signals numerical breakdown and is rejected.
     """
     split = schmidt_split(psi, j)
     q0, q1 = split.q
-    m = np.moveaxis(_split_axes(psi, j), 1, 0).reshape(2, -1)
-    minors = np.einsum("s,t->st", m[0], m[1])
-    minors = minors - minors.T  # c_I c_{I'_j} - c_{I_j} c_{I'}
-    ratio_q1 = float(np.sum(np.abs(minors) ** 2) / 2.0 / max(q0, 1e-300))
+    m = _amplitude_matrix(psi, j)
+    gram = m @ m.conj().T
+    minors_sq = float(gram[0, 0].real * gram[1, 1].real - abs(gram[0, 1]) ** 2)
+    ratio_q1 = minors_sq / max(q0, 1e-300)
     if abs(ratio_q1 - q1) > 10 * tol:
         raise ValidationError(
             f"spectral/ratio disagreement: q1={q1:.3e} vs minors={ratio_q1:.3e}")
