@@ -18,7 +18,8 @@ from .qstate import (DensityMatrix, EigDecomposition, MultiIndex, PauliWord,
 from .rdm import (RdmTuple, partial_trace, partial_trace_matrix, ptr_tuple,
                   rdm_max_distance, require_equal_rdms)
 from .schmidt import (EnvVectors, Purification, SchmidtSplit,
-                      extract_env_vectors, main_constraint_max_residual,
+                      extract_env_vectors, extract_env_vectors_all,
+                      main_constraint_max_residual,
                       main_constraint_residual, product_split_test, purify,
                       schmidt_split)
 

@@ -264,8 +264,7 @@ def cmd_sweep(args) -> int:
             if not compat.rank2_check(psi, omega):
                 counts["rank2_failures"] += 1
             pur = schmidt.purify(omega)
-            envs = [schmidt.extract_env_vectors(pur, psi, j)
-                    for j in range(1, n + 1)]
+            envs = schmidt.extract_env_vectors_all(pur, psi)
             res = schmidt.main_constraint_max_residual(envs, psi)
             worst_constraint = max(worst_constraint, res)
             sample["main_constraint_residual"] = res
@@ -290,8 +289,7 @@ def cmd_proofcheck(args) -> int:
     psi = ghz.make_ghz(args.n, a, b)
     omega = ghz.ghz_family(params, z)
     pur = schmidt.purify(omega)
-    envs = [schmidt.extract_env_vectors(pur, psi, j)
-            for j in range(1, args.n + 1)]
+    envs = schmidt.extract_env_vectors_all(pur, psi)
     relations = {}
     for env in envs:
         for name, val in env.orthonormality_residuals().items():
@@ -388,6 +386,9 @@ def main(argv=None) -> int:
     except construct.TheoremViolation as exc:
         print(f"theorem violation: {exc}", file=sys.stderr)
         return EXIT_ANOMALY
+    except np.linalg.LinAlgError as exc:
+        print(f"error: linear algebra failed: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -43,9 +43,9 @@ from functools import lru_cache
 import numpy as np
 
 from .ghz import GhzCertificate, GhzParams, detect_ghz_type, ghz_family
-from .qstate import (DensityMatrix, PauliWord, PureState, ValidationError,
-                     numeric_rank)
-from .rdm import (RDM_EQUAL_TOL, partial_trace_matrix, ptr_tuple,
+from .qstate import (DensityMatrix, EigDecomposition, PauliWord, PureState,
+                     ValidationError, hermitian_eig)
+from .rdm import (RDM_EQUAL_TOL, RdmTuple, partial_trace_matrix, ptr_tuple,
                   rdm_max_distance, require_equal_rdms)
 
 PSD_FEAS_TOL = 1e-10    # rho + t*Delta counts as PSD down to this eigenvalue
@@ -641,8 +641,19 @@ def rank2_check(psi: PureState, omega: DensityMatrix) -> bool:
     The theorem says yes for every valid input; a False return is a
     theorem-violation flag, not a normal outcome.
     """
-    require_equal_rdms(ptr_tuple(psi.projector()), ptr_tuple(omega))
-    rank = numeric_rank(omega.mat, 1e-8)
+    return rank2_given(ptr_tuple(psi.projector()), omega,
+                       hermitian_eig(omega.mat))
+
+
+def rank2_given(psi_rdms: RdmTuple, omega: DensityMatrix,
+                dec: EigDecomposition) -> bool:
+    """rank2_check from psi's RDM tuple and omega's eigendecomposition.
+
+    For a caller that already holds both: the RDM tuples must match, then
+    omega's rank (eigenvalues above 1e-8) is read off dec.
+    """
+    require_equal_rdms(psi_rdms, ptr_tuple(omega))
+    rank = dec.rank(1e-8)
     if rank < 2:
         raise ValidationError("omega is pure; the check needs a mixed state")
     return rank == 2

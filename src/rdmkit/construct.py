@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compat import rank2_check
-from .qstate import (DensityMatrix, PureState, ValidationError, hermitian_eig,
-                     numeric_rank)
+from .compat import rank2_given
+from .qstate import (DensityMatrix, EigDecomposition, PureState,
+                     ValidationError, hermitian_eig)
 from .rdm import ptr_tuple, rdm_max_distance, require_equal_rdms
 
 
@@ -72,7 +72,11 @@ class TwoLevelRestriction:
 
 def two_level_restriction(psi: PureState,
                           omega: DensityMatrix) -> TwoLevelRestriction:
-    dec = hermitian_eig(omega.mat)
+    return _two_level_restriction(psi, omega, hermitian_eig(omega.mat))
+
+
+def _two_level_restriction(psi: PureState, omega: DensityMatrix,
+                           dec: EigDecomposition) -> TwoLevelRestriction:
     phi1 = dec.eigenvectors[:, -1]
     phi2 = dec.eigenvectors[:, -2]
     p = float(dec.eigenvalues[-1])
@@ -104,14 +108,22 @@ class PartnerResult:
 
 def pure_partner_details(psi: PureState,
                          omega: DensityMatrix) -> PartnerResult:
-    """The distinct pure state with psi's RDMs, with construction diagnostics."""
-    if numeric_rank(omega.mat, 1e-8) < 2:
+    """The distinct pure state with psi's RDMs, with construction diagnostics.
+
+    Each matrix is decomposed once: one hermitian_eig of omega feeds the
+    purity test, the rank-2 test and the two-level restriction, and each
+    of psi, omega and the partner has its projector and RDM tuple built
+    once (psi's serves both the RDM check and the partner's residual).
+    """
+    dec = hermitian_eig(omega.mat)
+    if dec.rank(1e-8) < 2:
         raise ValidationError("omega is pure; need a mixed partner")
-    if not rank2_check(psi, omega):
+    psi_proj = psi.projector()
+    psi_rdms = ptr_tuple(psi_proj)
+    if not rank2_given(psi_rdms, omega, dec):
         raise TheoremViolation(
-            f"omega has rank {numeric_rank(omega.mat, 1e-8)} > 2 despite "
-            "matching RDMs")
-    res = two_level_restriction(psi, omega)
+            f"omega has rank {dec.rank(1e-8)} > 2 despite matching RDMs")
+    res = _two_level_restriction(psi, omega, dec)
     w00, w11 = float(res.w[0, 0].real), float(res.w[1, 1].real)
     det_w = w00 * w11 - abs(complex(res.w[0, 1])) ** 2
     if not det_w > 0.0:
@@ -131,12 +143,12 @@ def pure_partner_details(psi: PureState,
     if overlap >= 1.0 - 1e-8:
         raise TheoremViolation(
             f"constructed partner is not distinct: overlap {overlap!r}")
-    rdm_res = rdm_max_distance(ptr_tuple(partner.projector()),
-                               ptr_tuple(psi.projector()))
+    partner_proj = partner.projector()
+    rdm_res = rdm_max_distance(ptr_tuple(partner_proj), psi_rdms)
     if rdm_res > 1e-8:
         raise TheoremViolation(
             f"partner fails to reproduce psi's RDMs: residual {rdm_res:.3e}")
-    lam, mix_res = _mixture_fit(psi, partner, omega)
+    lam, mix_res = _mixture_fit(psi_proj.mat, partner_proj.mat, omega.mat)
     if mix_res > 1e-7 or not 0.0 < lam < 1.0:
         raise TheoremViolation(
             f"omega is not a convex mixture of psi and the partner "
@@ -145,16 +157,14 @@ def pure_partner_details(psi: PureState,
                          rdm_res, lam, mix_res)
 
 
-def _mixture_fit(psi: PureState, partner: PureState,
-                 omega: DensityMatrix) -> tuple[float, float]:
-    """Least-squares weight lam for omega = lam psi psi^+ + (1-lam) partner."""
-    p1 = psi.projector().mat
-    p2 = partner.projector().mat
+def _mixture_fit(p1: np.ndarray, p2: np.ndarray,
+                 omega: np.ndarray) -> tuple[float, float]:
+    """Least-squares weight lam for omega = lam p1 + (1-lam) p2."""
     d = p1 - p2
-    num = float(np.real(np.einsum("ij,ji->", d.conj().T, omega.mat - p2)))
+    num = float(np.real(np.einsum("ij,ji->", d.conj().T, omega - p2)))
     den = float(np.real(np.einsum("ij,ji->", d.conj().T, d)))
     lam = num / den
-    resid = float(np.linalg.norm(lam * p1 + (1 - lam) * p2 - omega.mat))
+    resid = float(np.linalg.norm(lam * p1 + (1 - lam) * p2 - omega))
     return lam, resid
 
 

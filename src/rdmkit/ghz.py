@@ -323,6 +323,8 @@ def _polish_product_in_span(w: np.ndarray, chi: np.ndarray,
     The closed-form root of _product_root_in_span is exact up to the
     rounding in the Gram matrix's eigenvector, which the quadratic's
     conditioning can amplify; this contracts that error quadratically.
+    Stops after 8 passes, or once a pass moves the iterate by no more
+    than 1 - |<w_old, w_new>| <= 1e-15.
     """
     for _ in range(8):
         factors = _factor_product(w, n_rest)
@@ -334,5 +336,7 @@ def _polish_product_in_span(w: np.ndarray, chi: np.ndarray,
         nrm = np.linalg.norm(cand)
         if nrm < 0.5:   # projection collapsed; keep the previous iterate
             break
-        w = cand / nrm
+        w_old, w = w, cand / nrm
+        if 1.0 - abs(np.vdot(w_old, w)) <= 1e-15:
+            break
     return w

@@ -156,6 +156,15 @@ class EigDecomposition:
     eigenvalues: np.ndarray   # real, ascending
     eigenvectors: np.ndarray  # orthonormal columns, same order
 
+    def rank(self, threshold: float = 1e-8) -> int:
+        """Number of eigenvalues above threshold; the spectrum must be PSD."""
+        if threshold <= 0:
+            raise ValidationError(f"threshold must be > 0, got {threshold}")
+        lo = float(self.eigenvalues[0])
+        if lo < -PSD_TOL:
+            raise ValidationError(f"not PSD: smallest eigenvalue {lo:.3e}")
+        return int(np.sum(self.eigenvalues > threshold))
+
 
 def hermitian_eig(m: np.ndarray) -> EigDecomposition:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
@@ -174,13 +183,7 @@ def hermitian_eig(m: np.ndarray) -> EigDecomposition:
 
 def numeric_rank(m: np.ndarray, threshold: float = 1e-8) -> int:
     """Number of eigenvalues of a Hermitian PSD matrix above threshold."""
-    if threshold <= 0:
-        raise ValidationError(f"threshold must be > 0, got {threshold}")
-    dec = hermitian_eig(m)
-    lo = float(dec.eigenvalues[0])
-    if lo < -PSD_TOL:
-        raise ValidationError(f"not PSD: smallest eigenvalue {lo:.3e}")
-    return int(np.sum(dec.eigenvalues > threshold))
+    return hermitian_eig(m).rank(threshold)
 
 
 def haar_random_state(n: int, seed: int) -> PureState:

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and state-file I/O."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -324,3 +325,61 @@ def test_family_writes_member(tmp_path, capsys):
     member = load_state(out)
     expected = ghz_family(GhzParams(3, np.sqrt(0.7), np.sqrt(0.3)), -0.5)
     assert np.allclose(member.mat, expected.mat)
+
+
+# ------------------------------------------------------------ work counts
+
+def count_calls(monkeypatch, module, name):
+    """Wrap module.name at every rdmkit binding of it; return the count."""
+    orig = getattr(module, name)
+    counter = {"calls": 0}
+
+    def counted(*args, **kwargs):
+        counter["calls"] += 1
+        return orig(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod is not None and (mod_name == "rdmkit"
+                                or mod_name.startswith("rdmkit.")):
+            for key, val in list(vars(mod).items()):
+                if val is orig:
+                    monkeypatch.setattr(mod, key, counted)
+    return counter
+
+
+def test_proofcheck_and_partner_check_rdms_once(tmp_path, capsys,
+                                                monkeypatch):
+    tuples = count_calls(monkeypatch, rdmkit.rdm, "ptr_tuple")
+    checks = count_calls(monkeypatch, rdmkit.rdm, "require_equal_rdms")
+    code, _, _ = run(capsys, ["proofcheck", "--n", "4", "--alpha", "0.8",
+                              "--beta", "0.6j", "--z", "0.3+0.2j"])
+    assert code == 0
+    assert (checks["calls"], tuples["calls"]) == (1, 2)
+
+    a, b = np.sqrt(0.7), np.sqrt(0.3)
+    psi_path = write_ghz(tmp_path / "psi.json", 4, a, b)
+    omega_path = str(tmp_path / "omega.json")
+    save_state(omega_path, ghz_family(GhzParams(4, a, b), 0.4))
+    checks["calls"] = tuples["calls"] = 0
+    code, _, _ = run(capsys, ["partner", psi_path, omega_path])
+    assert code == 0
+    assert (checks["calls"], tuples["calls"]) == (1, 3)
+
+
+# ------------------------------------------------------ linear algebra errors
+
+def test_linalg_error_is_a_clean_input_error(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    psi_path = write_ghz(tmp_path / "psi.json")
+    omega_path = str(tmp_path / "omega.json")
+    save_state(omega_path,
+               ghz_family(GhzParams(3, INV_SQRT2, INV_SQRT2), 0.4))
+    monkeypatch.setattr(np.linalg, "eigh", broken)
+    for argv in (["verdict", psi_path], ["partner", psi_path, omega_path]):
+        code, report, err = run(capsys, argv)
+        assert code == 2
+        assert report is None
+        assert err == ("error: linear algebra failed: "
+                       "Eigenvalues did not converge\n")

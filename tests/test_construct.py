@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from rdmkit import compat
 from rdmkit.construct import (TheoremViolation, eigen2, mixture_state,
                               pure_partner, pure_partner_details,
                               two_level_restriction)
@@ -176,3 +177,27 @@ def test_partner_rejects_pure_omega():
     psi = make_ghz(3, INV_SQRT2, INV_SQRT2)
     with pytest.raises(ValidationError):
         pure_partner(psi, psi.projector())
+
+
+def test_partner_errors_keep_their_order_and_messages(monkeypatch):
+    # purity first, then the RDM check naming the qubit, then the rank
+    a, b = np.sqrt(0.7), np.sqrt(0.3)
+    psi, omega = ghz_pair(3, a, b, 0.4)
+    low = hermitian_eig(omega.mat).eigenvectors[:, :1]
+    rank3 = DensityMatrix(3, 0.9 * omega.mat + 0.1 * low @ low.conj().T)
+    cases = [
+        (psi.projector(), ValidationError,
+         "omega is pure; need a mixed partner"),
+        (ghz_family(GhzParams(3, b, a), 0.4), ValidationError,
+         "RDM mismatch at qubit 1: distance 5.657e-01"),
+        (rank3, ValidationError,
+         "RDM mismatch at qubit 1: distance 1.257e-01"),
+    ]
+    for omega_bad, cls, msg in cases:
+        with pytest.raises(cls) as info:
+            pure_partner_details(psi, omega_bad)
+        assert type(info.value) is cls and str(info.value) == msg
+    monkeypatch.setattr(compat, "require_equal_rdms", lambda x, y: None)
+    with pytest.raises(TheoremViolation,
+                       match=r"^omega has rank 3 > 2 despite matching RDMs$"):
+        pure_partner_details(psi, rank3)

@@ -13,6 +13,7 @@ from rdmkit.qstate import (DensityMatrix, MultiIndex, PureState,
                            haar_random_state, random_local_unitaries)
 from rdmkit.rdm import partial_trace_matrix
 from rdmkit.schmidt import (Purification, extract_env_vectors,
+                            extract_env_vectors_all,
                             main_constraint_max_residual,
                             main_constraint_residual, product_split_test,
                             purify, schmidt_split)
@@ -219,6 +220,31 @@ def test_env_vectors_reject_rdm_mismatch():
         extract_env_vectors(pur, psi, 1)
 
 
+@pytest.mark.parametrize("n, z", [(3, 0.5), (4, -0.3 + 0.4j), (5, 1.0)])
+def test_env_vectors_all_equal_per_qubit_extraction(n, z):
+    a, b = np.sqrt(0.65), np.sqrt(0.35) * np.exp(0.7j)
+    psi = make_ghz(n, a, b)
+    pur = purify(ghz_family(GhzParams(n, a, b), z))
+    envs = extract_env_vectors_all(pur, psi)
+    assert [e.j for e in envs] == list(range(1, n + 1))
+    for env in envs:
+        ref = extract_env_vectors(pur, psi, env.j)
+        assert (env.n, env.j, env.env_dim) == (ref.n, ref.j, ref.env_dim)
+        assert env.split.q == ref.split.q
+        for name in ("chi", "alpha0", "alpha1"):
+            assert np.array_equal(getattr(env.split, name),
+                                  getattr(ref.split, name))
+        for name in ("big_e", "small", "omega_split"):
+            assert np.array_equal(getattr(env, name), getattr(ref, name))
+
+
+def test_env_vectors_all_reject_rdm_mismatch():
+    psi = haar_random_state(3, 6)
+    pur = pure_purification(haar_random_state(3, 7))
+    with pytest.raises(ValidationError, match="RDM mismatch at qubit 1"):
+        extract_env_vectors_all(pur, psi)
+
+
 def test_env_vectors_reject_product_split():
     amps = np.kron(np.array([1, 0], dtype=complex), BELL)
     psi = PureState(3, amps)
@@ -228,6 +254,15 @@ def test_env_vectors_reject_product_split():
 
 
 # ------------------------------------------------------------ main constraint
+
+def per_index_max_residual(envs, psi):
+    """The main constraint one multi-index and one qubit pair at a time."""
+    n = psi.n
+    return max(main_constraint_residual(envs[a], envs[b], psi,
+                                        MultiIndex.from_flat(flat, n))
+               for a in range(n) for b in range(a + 1, n)
+               for flat in range(2**n))
+
 
 def test_main_constraint_on_compatible_purification():
     params = GhzParams(3, np.sqrt(0.8), np.sqrt(0.2))
@@ -269,7 +304,20 @@ def test_main_constraint_detects_incompatible_purification(monkeypatch):
     bad = Purification(3, 2, u @ pur.omega_vec)
     monkeypatch.setattr(schmidt, "require_equal_rdms", lambda a, b: None)
     envs = [extract_env_vectors(bad, psi, j) for j in range(1, 4)]
-    assert main_constraint_max_residual(envs, psi) > 1e-3
+    worst = main_constraint_max_residual(envs, psi)
+    assert worst > 1e-3
+    assert abs(worst - per_index_max_residual(envs, psi)) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_main_constraint_max_matches_per_index_loop(n):
+    a, b = np.sqrt(0.7), np.sqrt(0.3) * np.exp(1.1j)
+    psi = make_ghz(n, a, b)
+    params = GhzParams(n, a, b)
+    for z in (0.0, 0.5, -0.2 + 0.6j, np.exp(2.3j)):
+        envs = extract_env_vectors_all(purify(ghz_family(params, z)), psi)
+        fast = main_constraint_max_residual(envs, psi)
+        assert abs(fast - per_index_max_residual(envs, psi)) <= 1e-14, z
 
 
 # ---------------------------------------------------------- product_split_test
