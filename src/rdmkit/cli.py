@@ -124,12 +124,7 @@ def _parse_complex(s: str) -> complex:
 
 def cmd_rdm(args) -> int:
     state = load_state(args.input)
-    if isinstance(state, PureState):
-        if state.n < 2:
-            raise CliError("n >= 2 required")
-        rho = state.projector()
-    else:
-        rho = state
+    rho = state.projector() if isinstance(state, PureState) else state
     if rho.n < 2:
         raise CliError("n >= 2 required")
     tup = ptr_tuple(rho)

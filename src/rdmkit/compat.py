@@ -22,10 +22,14 @@ are an independent cross-check, not the decision procedure.
    Hermitian on G and every one-qubit-removed partial trace of X zero.
    That is a linear problem in k^2 real unknowns, k = dim G.  Its null
    space N = {0} proves psi determined (`numeric_sup_tmax` 0.0);
-   otherwise `tmax_along` on candidate directions in N gives an explicit
-   compatible state, `numeric_sup_tmax` is the largest step found, and
-   `samples_used` counts the directions stepped.  No random number is
-   involved and the check never reads the detector's output.
+   otherwise stepping from psi psi^dag along candidate directions in N,
+   in G's k x k coordinates, gives an explicit compatible state.  Each
+   step is the exact end of the PSD segment (`qstate.psd_segment`, the
+   package's one PSD-boundary routine, which `tmax_along`, the search
+   and the partner construction share), `numeric_sup_tmax` is the
+   largest step found, and `samples_used` counts the directions stepped.
+   No random number is involved and the check never reads the
+   detector's output.
 
 GHZ-type states never have a certificate (their RDMs admit other
 states), so they always reach the face check.  A parent Hamiltonian is
@@ -44,20 +48,10 @@ import numpy as np
 
 from .ghz import GhzCertificate, GhzParams, detect_ghz_type, ghz_family
 from .qstate import (DensityMatrix, EigDecomposition, PauliWord, PureState,
-                     ValidationError, hermitian_eig)
+                     ValidationError, hermitian_eig, psd_segment)
 from .rdm import (RDM_EQUAL_TOL, RdmTuple, partial_trace_matrix, ptr_tuple,
                   rdm_max_distance, require_equal_rdms)
 
-PSD_FEAS_TOL = 1e-10    # rho + t*Delta counts as PSD down to this eigenvalue
-BISECT_TOL = 1e-12
-BISECT_MAX_ITER = 60
-SEARCH_FLOOR = 1e-9     # below this, search reports an upper bound only
-# the search bisects against a much stricter PSD tolerance: at a
-# rank-deficient rho, a direction coupling range to kernel has
-# lambda_min ~ -c t^2, so a slack of eps admits spurious steps of order
-# sqrt(eps); 1e-14 keeps those below 1e-6 while leaving genuine
-# boundaries (finite slope) essentially unchanged
-SEARCH_PSD_TOL = 1e-14
 CERTIFY_TMAX = 1e-6     # a certified bound this small skips the face check
 # H's eigenvectors below FACE_KERNEL_CUT span the face G.  On exact GHZ
 # states H's two kernel eigenvalues lie below 1e-14 and the next one above
@@ -146,115 +140,47 @@ def coeffs_of_matrix(n: int, mat: np.ndarray) -> np.ndarray:
     return np.real(np.einsum("kij,ji->k", stack, mat)) / 2**n
 
 
-def direction_from_matrix(n: int, mat: np.ndarray,
-                          span_tol: float = 1e-8) -> Direction:
+def direction_from_matrix(n: int, mat: np.ndarray) -> Direction:
     """Project a Hermitian matrix onto the span and normalize.
 
-    Rejects input whose out-of-span component exceeds span_tol.
+    Rejects input whose out-of-span component exceeds 1e-8 of its norm.
     """
     c = coeffs_of_matrix(n, mat)
     back = np.tensordot(c, _word_stack(n), axes=1)
     out_of_span = float(np.linalg.norm(mat - back)) / max(
         float(np.linalg.norm(mat)), 1e-300)
-    if out_of_span > span_tol:
+    if out_of_span > 1e-8:
         raise ValidationError(
             f"matrix is not in the full-weight span: residual {out_of_span:.3e}")
     return direction_from_coeffs(n, c)
-
-
-def _psd_ok(mat: np.ndarray, tol: float = PSD_FEAS_TOL) -> bool:
-    """Is mat PSD down to -tol?  Cholesky of the shifted matrix."""
-    try:
-        np.linalg.cholesky(mat + tol * np.eye(len(mat)))
-        return True
-    except np.linalg.LinAlgError:
-        return False
-
-
-def _feasible_mask(rho: np.ndarray, mats: np.ndarray, ts: np.ndarray,
-                   tol: float) -> np.ndarray:
-    """PSD feasibility of rho + t_k * mats_k for each k.
-
-    Cholesky is an order of magnitude cheaper than a full eigensolve and
-    every caller only needs the yes/no answer at a threshold.
-    """
-    out = np.empty(len(mats), dtype=bool)
-    for k in range(len(mats)):
-        out[k] = _psd_ok(rho + ts[k] * mats[k], tol)
-    return out
 
 
 def tmax_along(rho: DensityMatrix, d: Direction) -> tuple[float, float]:
     """(t_minus, t_plus): extent of the PSD segment along one direction.
 
     Every rho + t*Delta with t in [t_minus, t_plus] keeps rho's RDM tuple
-    (the direction has all single-qubit partial traces zero).  Bisection
-    on the minimum eigenvalue over bracket [0, 2], tolerance 1e-12.
+    (the direction has all single-qubit partial traces zero).  The ends
+    are `qstate.psd_segment`'s exact ones, capped to [-2, 2].
     """
     if rho.n != d.n:
         raise ValidationError("dimension mismatch")
-
-    def boundary(sign):
-        mat = sign * d.matrix
-
-        def feasible(t):
-            return _psd_ok(rho.mat + t * mat)
-
-        if feasible(2.0):
-            return 2.0
-        lo, hi = 0.0, 2.0
-        for _ in range(BISECT_MAX_ITER):
-            if hi - lo <= BISECT_TOL:
-                break
-            mid = 0.5 * (lo + hi)
-            if feasible(mid):
-                lo = mid
-            else:
-                hi = mid
-        return lo
-
-    return -boundary(-1.0), boundary(+1.0)
+    t_minus, t_plus = psd_segment(rho.mat, d.matrix)
+    return max(t_minus, -2.0), min(t_plus, 2.0)
 
 
-def _batched_max_boundary(rho: np.ndarray, mats: np.ndarray, best: float,
-                          tol: float = SEARCH_PSD_TOL) -> tuple[float, int]:
-    """Max over directions (both signs) of the PSD boundary step.
+def _batched_max_boundary(rho: np.ndarray, mats: np.ndarray,
+                          best: float) -> tuple[float, int]:
+    """Max over directions (both signs) of the PSD boundary step, capped at 2.
 
     Returns (value, winner) where winner indexes into mats (-1 if no
-    direction beat `best`).  Directions whose boundary provably cannot
-    exceed max(best, SEARCH_FLOOR) are discarded after a single probe and
-    contribute only that upper bound; contenders are resolved by
-    bisection.  Exact below-floor values are not needed by any caller
-    (verdict thresholds sit at 1e-6 and 1e-4).
+    direction beat `best`).
     """
-    stack = np.concatenate([mats, -mats], axis=0)
-    probe = max(best, SEARCH_FLOOR)
-    if probe >= 2.0:
+    t_minus, t_plus = psd_segment(rho, mats)
+    ends = np.minimum(np.maximum(t_plus, -t_minus), 2.0)
+    top = int(np.argmax(ends))
+    if ends[top] <= best:
         return best, -1
-    feas = _feasible_mask(rho, stack, np.full(len(stack), probe), tol)
-    contenders = np.nonzero(feas)[0]
-    if len(contenders) == 0:
-        return max(best, min(probe, SEARCH_FLOOR)), -1
-    sub = stack[contenders]
-    lo = np.full(len(sub), probe)
-    hi = np.full(len(sub), 2.0)
-    top_ok = _feasible_mask(rho, sub, hi, tol)
-    lo[top_ok] = 2.0
-    active = ~top_ok
-    for _ in range(BISECT_MAX_ITER):
-        active &= (hi - lo) > BISECT_TOL
-        if not active.any():
-            break
-        idx = np.nonzero(active)[0]
-        mid = 0.5 * (lo[idx] + hi[idx])
-        ok = _feasible_mask(rho, sub[idx], mid, tol)
-        lo[idx[ok]] = mid[ok]
-        hi[idx[~ok]] = mid[~ok]
-    top = int(np.argmax(lo))
-    value = float(lo[top])
-    if value <= best:
-        return best, -1
-    return value, int(contenders[top]) % len(mats)
+    return float(ends[top]), top
 
 
 def _pair_directions(n: int) -> np.ndarray:
@@ -285,7 +211,8 @@ def search_max_tmax(rho: DensityMatrix, restarts: int, seed: int) -> float:
     Deterministic in (rho, restarts, seed).  Candidates: the sparse
     complementary-pair directions, all 3^n basis words, then `restarts`
     random unit directions each refined by batched coordinate ascent with
-    a shrinking step.  Values below 1e-9 are reported as upper bounds.
+    a shrinking step.  Each step is `qstate.psd_segment`'s exact boundary,
+    capped at 2.
     """
     if restarts < 1:
         raise ValidationError("restarts must be >= 1")
@@ -468,8 +395,10 @@ class FaceCheck:
     largest RDM-preserving step found along the `directions` candidates:
     0.0 when N = {0} proves that there is none, NaN when N = {0} but H is
     not PSD within FACE_KERNEL_CUT, so that nothing is proved.
-    `compatible` is psi psi^dag moved by that step, a state with psi's
-    RDMs, or None when no step was taken.
+    `compatible` is psi psi^dag moved by that step, or None when no step
+    was taken.  It is PSD on G, and its partial traces differ from psi's
+    by at most `step` times the system's singular values counted as zero
+    (below FACE_NULL_CUT; about 1e-15 on exact GHZ states).
     """
 
     kernel_dim: int
@@ -510,14 +439,19 @@ def face_check(psi: PureState, parent: ParentHamiltonian) -> FaceCheck:
 
     * N = {0}: psi psi^dag is the only compatible state, so psi is
       determined, and `step` is 0.0.
-    * Otherwise every basis element of N is an RDM-preserving direction,
-      and `tmax_along` from psi psi^dag along it gives an explicit
-      compatible state.  For k = 2, G = span(psi, psi') with psi' orthogonal
-      to psi.  A nonzero X in N is traceless, so psi psi^dag + t X is PSD
-      for some t != 0 iff <psi'|X|psi'> != 0.  A compatible state other
-      than psi psi^dag therefore exists iff that functional is nonzero on
-      N, hence on one of N's basis elements: stepping along each basis
-      element is exact.
+    * Otherwise every basis element of N is an RDM-preserving direction.
+      Each is normalised to unit Frobenius norm and stepped in G's k x k
+      coordinates: `qstate.psd_segment` gives the exact ends of the
+      segment of t with rho_G + t x >= 0, where rho_G is psi psi^dag on
+      G, and psi psi^dag + t g x g^dag is an explicit compatible state.
+      For k = 2, G = span(psi, psi') with psi' orthogonal to psi.  A
+      nonzero X in N is traceless, so psi psi^dag + t X is PSD for some
+      t != 0 iff c = <psi'|X|psi'> != 0, and then the far end is
+      t = c / (c^2 + |<psi|X|psi'>|^2), where the state is rank one: the
+      paper's pure partner (`construct`'s root a*).  A compatible state
+      other than psi psi^dag therefore exists iff that functional is
+      nonzero on N, hence on one of N's basis elements: stepping along
+      each basis element is exact.
     * For k > 2 (at n = 2 H is 0 and k = 4) the candidates also include
       the projection onto N of rho_1 (x) ... (x) rho_n - psi psi^dag,
       where rho_j are psi's one-qubit RDMs.  At n = 2 that matrix is
@@ -528,14 +462,15 @@ def face_check(psi: PureState, parent: ParentHamiltonian) -> FaceCheck:
     lam_min = float(evals[0])
     g = evecs[:, evals < FACE_KERNEL_CUT]
     k = g.shape[1]
-    mats = np.einsum("ia,mab,jb->mij", g, _hermitian_basis(k), g.conj())
+    basis = _hermitian_basis(k)
+    mats = np.einsum("ia,mab,jb->mij", g, basis, g.conj())
     traces = np.array([
         np.concatenate([partial_trace_matrix(m, n, [j]).ravel()
                         for j in range(1, n + 1)]) for m in mats])
     system = np.concatenate([traces.real, traces.imag], axis=1).T
     _, svals, vt = np.linalg.svd(system, full_matrices=False)
     null = vt[svals <= FACE_NULL_CUT]
-    candidates = [np.tensordot(c, mats, axes=1) for c in null]
+    candidates = list(null)
     rho = psi.projector()
     if k > 2 and len(null):
         product = np.ones((1, 1))
@@ -548,13 +483,21 @@ def face_check(psi: PureState, parent: ParentHamiltonian) -> FaceCheck:
         coeffs = np.real(np.einsum("mij,ji->m", mats, product - rho.mat))
         coeffs = null.T @ (null @ coeffs)
         if np.linalg.norm(coeffs) > FACE_NULL_CUT:
-            candidates.append(np.tensordot(coeffs, mats, axes=1))
+            candidates.append(coeffs)
     step, compatible = 0.0, None
-    for x in candidates:
-        d = direction_from_matrix(n, x, span_tol=FACE_NULL_CUT)
-        for t in tmax_along(rho, d):
-            if abs(t) > step:
-                step, compatible = abs(t), rho.mat + t * d.matrix
+    if candidates:
+        # g has orthonormal columns, so a unit c is a unit-norm g x g^dag
+        c = np.array(candidates)
+        xs = np.tensordot(c / np.linalg.norm(c, axis=1)[:, None], basis,
+                          axes=1)
+        coords = g.conj().T @ psi.amps
+        ends = np.stack(psd_segment(np.outer(coords, coords.conj()), xs),
+                        axis=1).ravel()
+        top = int(np.argmax(np.abs(ends)))
+        if ends[top] != 0.0:
+            step = abs(float(ends[top]))
+            compatible = rho.mat + ends[top] * (g @ xs[top // 2]
+                                                @ g.conj().T)
     if not len(null) and lam_min < -FACE_KERNEL_CUT:
         step = float("nan")
     return FaceCheck(

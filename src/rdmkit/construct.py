@@ -9,10 +9,16 @@ with W = omega there and tr W = 1, so w00 = 1 - w11 and
              = a w11 - a^2 (w11^2 + |w01|^2).
 
 Its roots are a = 0, where the mixture is |psi><psi|, and
-a* = w11 / (w11^2 + |w01|^2) = w11 / (w11 - det W); the code uses the
-second form, which does not lean on tr W = 1.  a* > 1 exactly when
+a* = w11 / (w11^2 + |w01|^2) = w11 / (w11 - det W).  a* > 1 exactly when
 det W > 0.  R is PSD on [0, a*], and at a* its surviving eigenvector is a
 pure state with the same RDMs as psi.
+
+The code takes a* as the upper end of `qstate.psd_segment` for
+R(a) = diag(1, 0) + a (W - diag(1, 0)), the one PSD-boundary routine of
+the package.  The derivation above is that routine's k = 2 case: the
+kernel block of W - diag(1, 0) is w11 > 0 and its Schur complement is
+w00 - 1 - |w01|^2 / w11, so the end is w11 / (w11 - det W), the second
+form above, which does not lean on tr W = 1.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import numpy as np
 
 from .compat import rank2_given
 from .qstate import (DensityMatrix, EigDecomposition, PureState,
-                     ValidationError, hermitian_eig)
+                     ValidationError, hermitian_eig, psd_segment)
 from .rdm import ptr_tuple, rdm_max_distance, require_equal_rdms
 
 
@@ -129,7 +135,8 @@ def pure_partner_details(psi: PureState,
     if not det_w > 0.0:
         raise ValidationError(f"det W = {det_w:.3e}: omega is numerically "
                               "degenerate on span(psi, psi2)")
-    a_star = w11 / (w11 - det_w)  # the nonzero root of det R(a)
+    e0 = np.diag([1.0, 0.0])
+    a_star = psd_segment(e0, res.w - e0)[1]  # the nonzero root of det R(a)
     r = res.restriction(a_star)
     vals, vecs = np.linalg.eigh(r)
     # take the surviving eigenvector (eigenvalue ~1), not the near-null one

@@ -221,3 +221,54 @@ def apply_local_unitaries(psi: PureState, us: list[np.ndarray]) -> PureState:
     for j, u in enumerate(us):
         amps = np.moveaxis(np.tensordot(u, amps, axes=([1], [j])), 0, j)
     return PureState(psi.n, amps.reshape(-1))
+
+
+# Eigenvalues of rho and of x's kernel block, and x's range-kernel
+# couplings, at or below this size count as zero in psd_segment.
+PSD_CUT = 1e-10
+
+
+def psd_segment(rho: np.ndarray, x: np.ndarray):
+    """(t_minus, t_plus): the ends of the interval {t : rho + t x >= 0}.
+
+    rho is Hermitian PSD; x is one Hermitian matrix of rho's size or a
+    stack of them, and the ends are then floats or arrays.  An unbounded
+    end is +-inf, and an end that cannot leave 0 is 0.0.  The ends are
+    exact, found without bisection.
+
+    In rho's eigenbasis write R for its range (eigenvalues D above
+    PSD_CUT) and K for its kernel.  For t > 0, rho + t x >= 0 iff
+    x_KK >= 0, x_RK vanishes on ker x_KK, and D + t S >= 0 with the
+    generalised Schur complement S = x_RR - x_RK x_KK^+ x_KR.  The last
+    holds up to t = 1 / lambda_max(-D^(-1/2) S D^(-1/2)), and for every
+    t when that eigenvalue is <= 0.  For t < 0 the same test applies to
+    -x, whose Schur complement is -S, so one eigh of x_KK and one
+    eigvalsh of D^(-1/2) S D^(-1/2) give both ends.
+    """
+    x = np.asarray(x, dtype=complex)
+    single = x.ndim == 2
+    if single:
+        x = x[None]
+    evals, evecs = np.linalg.eigh(rho)
+    in_range = evals > PSD_CUT
+    v_r, v_k = evecs[:, in_range], evecs[:, ~in_range]
+    x_r = v_r.conj().T @ x
+    x_kk = v_k.conj().T @ x @ v_k
+    e, u = np.linalg.eigh(x_kk)
+    coupling = x_r @ v_k @ u                # x_RK in x_KK's eigenbasis
+    zero = np.abs(e) <= PSD_CUT
+    free = ~np.any(zero & (np.linalg.norm(coupling, axis=1) > PSD_CUT),
+                   axis=1)
+    inv = np.where(zero, 0.0, 1.0 / np.where(zero, 1.0, e))
+    schur = (x_r @ v_r
+             - (coupling * inv[:, None, :]) @ coupling.conj().swapaxes(1, 2))
+    scale = 1.0 / np.sqrt(evals[in_range])
+    mu = np.linalg.eigvalsh(scale[:, None] * schur * scale[None, :])
+    with np.errstate(divide="ignore"):
+        t_plus = 1.0 / np.maximum(-mu[:, 0], 0.0)
+        t_minus = -1.0 / np.maximum(mu[:, -1], 0.0)
+    t_plus = np.where(free & np.all(e >= -PSD_CUT, axis=1), t_plus, 0.0)
+    t_minus = np.where(free & np.all(e <= PSD_CUT, axis=1), t_minus, 0.0)
+    if single:
+        return float(t_minus[0]), float(t_plus[0])
+    return t_minus, t_plus

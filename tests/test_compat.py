@@ -12,7 +12,8 @@ from rdmkit.compat import (determinedness, direction_from_coeffs,
 from rdmkit.ghz import GhzCertificate, GhzParams, ghz_family, make_ghz
 from rdmkit.qstate import (DensityMatrix, PauliWord, PureState,
                            ValidationError, apply_local_unitaries,
-                           haar_random_state, random_local_unitaries)
+                           haar_random_state, numeric_rank,
+                           random_local_unitaries)
 from rdmkit.rdm import (partial_trace_matrix, ptr_tuple, rdm_max_distance,
                         require_equal_rdms)
 
@@ -44,10 +45,10 @@ def rotated_ghz(n, seed):
     return rotated(make_ghz(n, np.sqrt(1 - b2), np.sqrt(b2) * phase), seed)
 
 
-def oracle_boundary(rho, mat, sign, hi=2.0, iters=80):
+def oracle_boundary(rho, mat, sign, hi=2.0, iters=80, slack=1e-10):
     """Independent PSD-boundary bisection via dense eigvalsh only."""
     def ok(t):
-        return np.linalg.eigvalsh(rho + sign * t * mat)[0] >= -1e-10
+        return np.linalg.eigvalsh(rho + sign * t * mat)[0] >= -slack
     if ok(hi):
         return hi
     lo = 0.0
@@ -158,6 +159,28 @@ def test_tmax_ghz_along_xxx_matches_oracle():
     assert abs(tp - oracle_boundary(psi.projector().mat, d.matrix, 1)) < 1e-9
     assert abs(-tm - oracle_boundary(psi.projector().mat, d.matrix, -1)) < 1e-9
     assert tp <= 1e-8 and tm >= -1e-8
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("kind", ["pure", "rank2", "full"])
+def test_tmax_matches_oracle_on_random_pairs(n, kind):
+    # the oracle runs at a 1e-14 slack: at 1e-10 it admits extra steps
+    # of about 1e-10 / |slope|, up to 3e-7 on n=2 rank-2 pairs
+    rng = np.random.default_rng([4150, n, len(kind)])
+    for _ in range(10):
+        psi = haar_random_state(n, int(rng.integers(1 << 30)))
+        mat = psi.projector().mat
+        if kind == "rank2":
+            phi = haar_random_state(n, int(rng.integers(1 << 30)))
+            p = rng.uniform(0.2, 0.8)
+            mat = p * mat + (1 - p) * phi.projector().mat
+        elif kind == "full":
+            mat = 0.5 * mat + 0.5 * np.eye(2**n) / 2**n
+        d = direction_from_coeffs(n, rng.standard_normal(3**n))
+        tm, tp = tmax_along(DensityMatrix(n, mat), d)
+        assert abs(tp - oracle_boundary(mat, d.matrix, 1, slack=1e-14)) < 1e-9
+        assert abs(-tm - oracle_boundary(mat, d.matrix, -1,
+                                         slack=1e-14)) < 1e-9
 
 
 def test_tmax_haar_projector_pinned_at_zero():
@@ -343,11 +366,20 @@ def test_face_check_flags_a_misclassified_rotated_ghz(monkeypatch, n, seed):
 
 
 def test_verdict_never_runs_the_search(monkeypatch):
-    def no_search(*args, **kwargs):
-        raise AssertionError("search_max_tmax called")
+    # nor the full-weight word stack and the 2^n x 2^n segment it feeds:
+    # the face check steps in the face's own k x k coordinates
+    for name in ("search_max_tmax", "_word_stack", "direction_from_matrix",
+                 "tmax_along"):
+        def fail(*args, name=name, **kwargs):
+            raise AssertionError(f"{name} called")
 
-    monkeypatch.setattr(compat, "search_max_tmax", no_search)
-    for psi in (rotated_ghz(3, 4403), haar_random_state(3, 4404)):
+        monkeypatch.setattr(compat, name, fail)
+    two_qubit = PureState(2, np.array([0.9, 0, 0, np.sqrt(0.19)],
+                                      dtype=complex))
+    for psi in (rotated_ghz(3, 4403), haar_random_state(3, 4404),
+                rotated_ghz(4, 4405), rotated_ghz(5, 4406),
+                rotated(make_ghz(4, INV_SQRT2, INV_SQRT2), 4407),
+                rotated(two_qubit, 4408)):
         v = determinedness(psi)
         assert v.anomaly is None
 
@@ -440,6 +472,12 @@ def test_face_check_returns_a_compatible_state():
         require_equal_rdms(ptr_tuple(omega), ptr_tuple(psi.projector()))
         moved = np.linalg.norm(omega.mat - psi.projector().mat)
         assert abs(moved - face.step) <= 1e-9
+        if psi.n > 2:
+            # at k = 2 the far end of the segment is the paper's pure
+            # partner: rank one and distinct from psi
+            assert numeric_rank(omega.mat) == 1
+            partner = np.linalg.eigh(omega.mat)[1][:, -1]
+            assert abs(np.vdot(psi.amps, partner)) < 1 - 1e-8
 
 
 def test_face_check_proves_nothing_when_h_is_not_psd():

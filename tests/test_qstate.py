@@ -6,7 +6,7 @@ import pytest
 from rdmkit.qstate import (DensityMatrix, MultiIndex, PauliWord, PureState,
                            ValidationError, apply_local_unitaries,
                            haar_random_state, hermitian_eig, numeric_rank,
-                           random_local_unitaries)
+                           psd_segment, random_local_unitaries)
 
 
 def random_hermitian(rng, dim):
@@ -224,3 +224,55 @@ def test_apply_local_unitaries_single_qubit_convention():
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     out = apply_local_unitaries(psi, [x, np.eye(2), np.eye(2)])
     assert np.allclose(out.amps, np.eye(8)[0b100])
+
+
+# --------------------------------------------------------------- psd_segment
+
+@pytest.mark.parametrize("c, b", [(0.3, 0.4 + 0.2j), (1.0, 0.0),
+                                  (1e-3, 2.0)])
+def test_psd_segment_two_level_closed_form(c, b):
+    # det(diag(1, 0) + t x) = t c - t^2 (c^2 + |b|^2): the partner root
+    x = np.array([[-c, b], [np.conj(b), c]])
+    tm, tp = psd_segment(np.diag([1.0, 0.0]), x)
+    assert tm == 0.0
+    assert tp == pytest.approx(c / (c**2 + abs(b) ** 2), rel=1e-14)
+
+
+def test_psd_segment_coupling_into_the_kernel_is_stuck():
+    # lambda_min(rho + t x) ~ -t^2 here, so a bisection with an eigenvalue
+    # slack of 1e-10 would report a step of about 1e-5
+    x = np.zeros((3, 3))
+    x[0, 1] = x[1, 0] = x[2, 2] = 1.0
+    assert psd_segment(np.diag([1.0, 0.0, 0.0]), x) == (0.0, 0.0)
+
+
+def test_psd_segment_full_rank_ends_and_unbounded_side():
+    rho = np.diag([0.5, 0.3, 0.2])
+    tm, tp = psd_segment(rho, np.diag([1.0, -1.0, 0.0]))
+    assert (tm, tp) == pytest.approx((-0.5, 0.3), rel=1e-14)
+    tm, tp = psd_segment(rho, np.eye(3))
+    assert tm == pytest.approx(-0.2, rel=1e-14)
+    assert tp == np.inf
+
+
+def test_psd_segment_stack_matches_one_at_a_time():
+    rng = np.random.default_rng(17)
+    psi = haar_random_state(2, 3).projector().mat
+    rho = 0.7 * psi + 0.3 * haar_random_state(2, 4).projector().mat
+    for base in (psi, rho, np.eye(4) / 4):
+        xs = np.array([random_hermitian(rng, 4) for _ in range(6)])
+        xs[1] = np.diag([1.0, 0.0, 0.0, 0.0])   # a PSD step: one end inf
+        tm, tp = psd_segment(base, xs)
+        assert tm.shape == tp.shape == (6,)
+        for k, x in enumerate(xs):
+            assert (tm[k], tp[k]) == psd_segment(base, x)
+
+
+def test_psd_segment_ends_are_exact_boundaries():
+    rng = np.random.default_rng(18)
+    rho = 0.6 * haar_random_state(3, 5).projector().mat + 0.4 * np.eye(8) / 8
+    for _ in range(5):
+        x = random_hermitian(rng, 8)
+        for t in psd_segment(rho, x):
+            low = np.linalg.eigvalsh(rho + t * x)
+            assert abs(low[0]) <= 1e-12
