@@ -31,6 +31,14 @@ are an independent cross-check, not the decision procedure.
    No random number is involved and the check never reads the
    detector's output.
 
+On a GHZ-type verdict, `witness_rdm_residual` compares psi's RDM tuple
+with that of the witness family's z = 0 member only.  Every member has
+that member's RDMs: its z-dependent term z a conj(b) |u^><v^| + h.c.
+(with u^ and v^ the products of the certificate's local bases) vanishes
+under each one-qubit partial trace, since tr_j |u^><v^| = <v_j|u_j> *
+(x)_{k != j} |u_k><v_k| and the detector returns u_j orthogonal to v_j
+(see `determinedness`).
+
 GHZ-type states never have a certificate (their RDMs admit other
 states), so they always reach the face check.  A parent Hamiltonian is
 sufficient but not necessary, so a missing one is never an anomaly on its
@@ -471,16 +479,16 @@ def face_check(psi: PureState, parent: ParentHamiltonian) -> FaceCheck:
     _, svals, vt = np.linalg.svd(system, full_matrices=False)
     null = vt[svals <= FACE_NULL_CUT]
     candidates = list(null)
-    rho = psi.projector()
+    rho = np.outer(psi.amps, psi.amps.conj())
     if k > 2 and len(null):
         product = np.ones((1, 1))
         for j in range(1, n + 1):
             others = [i for i in range(1, n + 1) if i != j]
             product = np.kron(product,
-                              partial_trace_matrix(rho.mat, n, others))
+                              partial_trace_matrix(rho, n, others))
         # the basis elements are Hermitian and orthonormal, so the
         # coefficients of a Hermitian matrix are tr(B_m M)
-        coeffs = np.real(np.einsum("mij,ji->m", mats, product - rho.mat))
+        coeffs = np.real(np.einsum("mij,ji->m", mats, product - rho))
         coeffs = null.T @ (null @ coeffs)
         if np.linalg.norm(coeffs) > FACE_NULL_CUT:
             candidates.append(coeffs)
@@ -496,8 +504,7 @@ def face_check(psi: PureState, parent: ParentHamiltonian) -> FaceCheck:
         top = int(np.argmax(np.abs(ends)))
         if ends[top] != 0.0:
             step = abs(float(ends[top]))
-            compatible = rho.mat + ends[top] * (g @ xs[top // 2]
-                                                @ g.conj().T)
+            compatible = rho + ends[top] * (g @ xs[top // 2] @ g.conj().T)
     if not len(null) and lam_min < -FACE_KERNEL_CUT:
         step = float("nan")
     return FaceCheck(
@@ -534,6 +541,21 @@ def determinedness(psi: PureState, tol: float = 1e-8,
     validated (>= 1).  Disagreement is reported as an anomaly, never
     silently reconciled; several anomalies are joined with "; " in the
     order they are found.
+
+    Why one witness member suffices.  In the certificate's local bases,
+    with |u^> = |u_1 ... u_n> and |v^> = |v_1 ... v_n>, the member at z is
+    |a|^2 |u^><u^| + |b|^2 |v^><v^| + z a conj(b) |u^><v^| + h.c.  Its
+    only z-dependent term vanishes under every one-qubit partial trace:
+
+        tr_j |u^><v^| = <v_j|u_j> * (x)_{k != j} |u_k><v_k| = 0
+
+    for every j and every n >= 2, because u_j is orthogonal to v_j.  The
+    detector returns orthogonal pairs on both of its branches: in the
+    gapped branch they are `eigh` eigenvectors of one single-qubit RDM,
+    and in the degenerate branch `_orthogonalize` makes each v_j
+    orthogonal to u_j.  So every member has the z = 0 member's RDM
+    tuple, and `witness_rdm_residual` compares psi's tuple with that one
+    member's.
     """
     if not 2 <= psi.n <= CROSS_CHECK_NMAX:
         raise ValidationError(
@@ -547,10 +569,8 @@ def determinedness(psi: PureState, tol: float = 1e-8,
     witness_res = None
     if cert.is_ghz:
         family = WitnessFamily(cert.params, cert.local_bases)
-        psi_tuple = ptr_tuple(psi.projector())
-        witness_res = max(
-            rdm_max_distance(ptr_tuple(family.member(z)), psi_tuple)
-            for z in (0.0, -1.0, 0.5j))
+        witness_res = rdm_max_distance(ptr_tuple(family.member(0.0)),
+                                       ptr_tuple(psi.projector()))
     parent = parent_hamiltonian(psi)
     face = None
     if parent.certifies:
@@ -593,10 +613,11 @@ def rank2_given(psi_rdms: RdmTuple, omega: DensityMatrix,
     """rank2_check from psi's RDM tuple and omega's eigendecomposition.
 
     For a caller that already holds both: the RDM tuples must match, then
-    omega's rank (eigenvalues above 1e-8) is read off dec.
+    omega's rank is read off dec at `EigDecomposition.rank`'s default cut
+    (eigenvalues above 1e-8), the one rank cut for omega.
     """
     require_equal_rdms(psi_rdms, ptr_tuple(omega))
-    rank = dec.rank(1e-8)
+    rank = dec.rank()
     if rank < 2:
         raise ValidationError("omega is pure; the check needs a mixed state")
     return rank == 2

@@ -122,13 +122,13 @@ def pure_partner_details(psi: PureState,
     once (psi's serves both the RDM check and the partner's residual).
     """
     dec = hermitian_eig(omega.mat)
-    if dec.rank(1e-8) < 2:
+    if dec.rank() < 2:
         raise ValidationError("omega is pure; need a mixed partner")
     psi_proj = psi.projector()
     psi_rdms = ptr_tuple(psi_proj)
     if not rank2_given(psi_rdms, omega, dec):
         raise TheoremViolation(
-            f"omega has rank {dec.rank(1e-8)} > 2 despite matching RDMs")
+            f"omega has rank {dec.rank()} > 2 despite matching RDMs")
     res = _two_level_restriction(psi, omega, dec)
     w00, w11 = float(res.w[0, 0].real), float(res.w[1, 1].real)
     det_w = w00 * w11 - abs(complex(res.w[0, 1])) ** 2

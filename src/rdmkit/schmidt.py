@@ -161,17 +161,20 @@ def purify(omega: DensityMatrix) -> Purification:
 
     omega is decomposed once: the rank (eigenvalues above 1e-10, after the
     PSD check) and the environment columns sqrt(p_k) phi_k, largest p_k
-    first, come from the same hermitian_eig.
+    first, come from the same hermitian_eig.  The trace-back check runs on
+    the raw o o^dag of the normalised 2^n x r matrix o: that product is
+    Hermitian and PSD by construction and has unit trace, so it needs no
+    `DensityMatrix` validation of its own.
     """
     dec = hermitian_eig(omega.mat)
     r = dec.rank(1e-10)
     p = dec.eigenvalues[::-1][:r]
     vec = dec.eigenvectors[:, ::-1][:, :r] * np.sqrt(p)
-    pur = Purification(omega.n, r, (vec / np.linalg.norm(vec)).reshape(-1))
-    back = float(np.linalg.norm(pur.system_state().mat - omega.mat))
+    o = vec / np.linalg.norm(vec)
+    back = float(np.linalg.norm(o @ o.conj().T - omega.mat))
     if back > 1e-10:
         raise ValidationError(f"purification trace-back residual {back:.3e}")
-    return pur
+    return Purification(omega.n, r, o.reshape(-1))
 
 
 @dataclass(frozen=True)

@@ -223,17 +223,36 @@ def test_search_rejects_zero_restarts():
 
 # -------------------------------------------------------------- determinedness
 
-def test_verdict_ghz_undetermined_with_witness():
-    v = determinedness(make_ghz(4, np.sqrt(0.8), np.sqrt(0.2)),
-                       restarts=2, seed=0)
+def witness_cases():
+    yield pytest.param(make_ghz(4, np.sqrt(0.8), np.sqrt(0.2)), id="ghz4")
+    for n in range(2, 7):
+        yield pytest.param(rotated_ghz(n, 4600 + n),
+                           id=f"rotated-gapped-n{n}")
+        phase = np.exp(2j * np.pi * n / 7)
+        yield pytest.param(
+            rotated(make_ghz(n, INV_SQRT2, INV_SQRT2 * phase), 4700 + n),
+            id=f"rotated-equal-n{n}")
+
+
+@pytest.mark.parametrize("psi", witness_cases())
+def test_verdict_ghz_undetermined_with_witness(psi):
+    v = determinedness(psi, restarts=2, seed=0)
     assert v.determined is False
     assert v.anomaly is None
     assert v.numeric_sup_tmax > 0.1
     assert v.witness_family is not None
-    base = ptr_tuple(make_ghz(4, np.sqrt(0.8), np.sqrt(0.2)).projector())
+    base = ptr_tuple(psi.projector())
     for z in (0.0, -1.0, 0.3j):
         member = v.witness_family.member(z)
         assert rdm_max_distance(ptr_tuple(member), base) <= 1e-9
+    # the premise of the one-member witness residual: every member has
+    # the z = 0 member's RDMs, because each u_j is orthogonal to its v_j
+    centre = ptr_tuple(v.witness_family.member(0.0))
+    for z in (-1.0, 0.5j, np.exp(0.7j)):
+        member = ptr_tuple(v.witness_family.member(z))
+        assert rdm_max_distance(member, centre) <= 1e-13
+    assert max(abs(np.vdot(u, w))
+               for u, w in v.ghz_certificate.local_bases) <= 1e-13
 
 
 def test_verdict_w_determined():
@@ -382,6 +401,35 @@ def test_verdict_never_runs_the_search(monkeypatch):
                 rotated(two_qubit, 4408)):
         v = determinedness(psi)
         assert v.anomaly is None
+
+
+def test_ghz_verdict_builds_two_rdm_tuples(monkeypatch):
+    # psi's and the witness family's z = 0 member's: every other member
+    # has that member's RDMs (see the determinedness docstring)
+    calls = []
+
+    def counted(rho):
+        calls.append(rho)
+        return ptr_tuple(rho)
+
+    monkeypatch.setattr(compat, "ptr_tuple", counted)
+    v = determinedness(rotated_ghz(4, 4409))
+    assert v.determined is False
+    assert v.anomaly is None
+    assert len(calls) == 2
+
+
+def test_face_check_never_validates_psi_projector(monkeypatch):
+    psi = rotated_ghz(4, 4410)
+    parent = parent_hamiltonian(psi)
+
+    def fail(self):
+        raise AssertionError("projector called")
+
+    monkeypatch.setattr(PureState, "projector", fail)
+    face = face_check(psi, parent)
+    assert (face.kernel_dim, face.null_dim) == (2, 2)
+    assert isinstance(face.compatible, DensityMatrix)
 
 
 def test_certificate_on_a_ghz_verdict_is_an_anomaly(monkeypatch):

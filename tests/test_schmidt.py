@@ -156,6 +156,27 @@ def test_purify_ghz_family_z0():
                           - ghz_family(params, 0.0).mat) <= 1e-12
 
 
+def test_purify_checks_the_trace_back_without_building_the_system_state(
+        monkeypatch):
+    def fail(self):
+        raise AssertionError("system_state called")
+
+    monkeypatch.setattr(Purification, "system_state", fail)
+    params = GhzParams(4, np.sqrt(0.7), np.sqrt(0.3))
+    pur = purify(ghz_family(params, 0.4))
+    assert pur.env_dim == 2
+    o = pur.omega_vec.reshape(16, 2)
+    assert np.linalg.norm(o @ o.conj().T
+                          - ghz_family(params, 0.4).mat) <= 1e-12
+    # seven eigenvalues below the 1e-10 rank cut are dropped, and the
+    # trace-back check still sees what they leave out
+    small = np.full(7, 9e-11)
+    omega = DensityMatrix(3, np.diag(np.concatenate(
+        [[1.0 - small.sum()], small])).astype(complex))
+    with pytest.raises(ValidationError, match="trace-back residual"):
+        purify(omega)
+
+
 def test_purification_validates_norm():
     with pytest.raises(ValidationError):
         Purification(1, 1, np.array([1.0, 1.0]))
