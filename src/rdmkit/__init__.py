@@ -2,9 +2,8 @@
 (n-1)-qubit reduced density matrices."""
 
 from .compat import (CompatVerdict, Direction, FaceCheck, FullWeightBasis,
-                     ParentHamiltonian, WitnessFamily, determinedness,
-                     direction_from_coeffs, direction_from_matrix,
-                     face_check, fullweight_basis, parent_hamiltonian,
+                     WitnessFamily, determinedness, direction_from_coeffs,
+                     direction_from_matrix, face_check, fullweight_basis,
                      rank2_check, search_max_tmax, tmax_along)
 from .construct import (PartnerResult, TheoremViolation, TwoLevelRestriction,
                         eigen2, mixture_state, pure_partner,

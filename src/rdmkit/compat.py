@@ -7,42 +7,33 @@ rho + t*Delta stays PSD for some nonzero t and Delta in that span; the
 rigorous verdict comes from the GHZ-type theorem, and the numerics here
 are an independent cross-check, not the decision procedure.
 
-`determinedness` runs two cross-checks, in this order:
+`determinedness` runs one cross-check on every conclusive verdict,
+`face_check`: an exact check on the face of the state space that psi's
+local supports leave to the compatible states.  A state with psi's
+(n-1)-RDMs has its range in G, the intersection over j of
+C^2_j (x) supp rho_(j); G is the kernel of a frustration-free parent
+Hamiltonian and has dimension k <= 4.  The compatible states are
+psi psi^dag + X >= 0 with X Hermitian on G and every one-qubit-removed
+partial trace of X zero: a linear problem in k^2 real unknowns.  Its null
+space N = {0} proves psi determined (`numeric_sup_tmax` 0.0; k = 1 always
+does); otherwise stepping from psi psi^dag along candidate directions in
+N, in G's k x k coordinates, gives an explicit compatible state.  Each
+step is the exact end of the PSD segment (`qstate.psd_segment`, the
+package's one PSD-boundary routine, which `tmax_along`, the search and
+the partner construction share), `numeric_sup_tmax` is the largest step
+found, and `samples_used` counts the directions stepped.  No random
+number is involved, the check never reads the detector's output, and it
+costs O(n 2^n): it works on psi's 2 x 2^(n-1) amplitude matrices.
 
-1. `parent_hamiltonian`: a Hamiltonian H built only from Pauli words with
-   an identity letter, with H psi ~ 0 and a positive second eigenvalue.
-   Such an H is a checkable proof that psi is determined; it bounds every
-   RDM-preserving step.  When that bound is at most CERTIFY_TMAX,
-   `numeric_sup_tmax` is the certified upper bound, `samples_used` is 0,
-   and the face check is skipped.
-2. `face_check`, otherwise: an exact check on the face of the state space
-   that H leaves to the compatible states.  tr(H rho) is fixed by rho's
-   (n-1)-RDMs, so when H >= 0 and H psi = 0 every compatible rho lives on
-   G = ker H, and the compatible states are psi psi^dag + X >= 0 with X
-   Hermitian on G and every one-qubit-removed partial trace of X zero.
-   That is a linear problem in k^2 real unknowns, k = dim G.  Its null
-   space N = {0} proves psi determined (`numeric_sup_tmax` 0.0);
-   otherwise stepping from psi psi^dag along candidate directions in N,
-   in G's k x k coordinates, gives an explicit compatible state.  Each
-   step is the exact end of the PSD segment (`qstate.psd_segment`, the
-   package's one PSD-boundary routine, which `tmax_along`, the search
-   and the partner construction share), `numeric_sup_tmax` is the
-   largest step found, and `samples_used` counts the directions stepped.
-   No random number is involved and the check never reads the
-   detector's output.
+On a GHZ-type verdict, `witness_rdm_residual` compares psi's RDMs with
+those of the witness family's z = 0 member, in factored form.  Every
+member has that member's RDMs: its z-dependent term
+z a conj(b) |u^><v^| + h.c. (with u^ and v^ the products of the
+certificate's local bases) vanishes under each one-qubit partial trace,
+since tr_j |u^><v^| = <v_j|u_j> * (x)_{k != j} |u_k><v_k| and the
+detector returns u_j orthogonal to v_j (see `determinedness`).
 
-On a GHZ-type verdict, `witness_rdm_residual` compares psi's RDM tuple
-with that of the witness family's z = 0 member only.  Every member has
-that member's RDMs: its z-dependent term z a conj(b) |u^><v^| + h.c.
-(with u^ and v^ the products of the certificate's local bases) vanishes
-under each one-qubit partial trace, since tr_j |u^><v^| = <v_j|u_j> *
-(x)_{k != j} |u_k><v_k| and the detector returns u_j orthogonal to v_j
-(see `determinedness`).
-
-GHZ-type states never have a certificate (their RDMs admit other
-states), so they always reach the face check.  A parent Hamiltonian is
-sufficient but not necessary, so a missing one is never an anomaly on its
-own.  `search_max_tmax`, a seeded random-restart search for the largest
+`search_max_tmax`, a seeded random-restart search for the largest
 feasible step, is kept as a library function; no verdict calls it.
 """
 
@@ -50,7 +41,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -58,23 +49,27 @@ from .ghz import GhzCertificate, GhzParams, detect_ghz_type, ghz_family
 from .qstate import (DensityMatrix, EigDecomposition, PauliWord, PureState,
                      ValidationError, hermitian_eig, psd_segment)
 from .rdm import (RDM_EQUAL_TOL, RdmTuple, partial_trace_matrix, ptr_tuple,
-                  rdm_max_distance, require_equal_rdms)
+                  require_equal_rdms)
 
-CERTIFY_TMAX = 1e-6     # a certified bound this small skips the face check
-# H's eigenvectors below FACE_KERNEL_CUT span the face G.  On exact GHZ
-# states H's two kernel eigenvalues lie below 1e-14 and the next one above
-# 0.85.  Near a GHZ state, at distance eps, the second eigenvalue falls as
-# eps^2 and enters G once eps < ~1e-4, where N is still {0} (its system's
-# smallest singular value is ~eps, far above FACE_NULL_CUT).  A larger G
-# only admits more candidate states, so the cut errs on the safe side.
+# Eigenvectors of K (H_ff compressed to V_1, see `face_check`) below
+# FACE_KERNEL_CUT span the face G.  On rotated GHZ states at n = 3..6, K's
+# two kernel eigenvalues lie below 1e-14 and the next one at 2.0 or above.
+# Near a GHZ state, at distance eps, the second eigenvalue is about
+# 3.6 eps^2 at n=4 and 6.5 eps^2 at n=5 (it is 0 at n=3, where k = 2 for
+# every state), so it enters G once eps < ~5e-5, where N is still {0} (its
+# system's smallest singular value is ~eps, far above FACE_NULL_CUT).  A
+# larger G only admits more candidate states, so the cut errs on the safe
+# side.
 FACE_KERNEL_CUT = 1e-8
 # Singular values of the face's partial-trace system below FACE_NULL_CUT
-# span N.  On exact GHZ states they lie below 1e-14 and the others above
-# 1.7.  Near a GHZ state the smallest falls linearly in eps, as the
-# detector's residual does, so the cut sits at the detector's DETECT_TOL
-# and both draw the GHZ boundary at about the same eps.
+# span N.  On rotated GHZ states at n = 3..6 they lie below 2e-15 and the
+# others at 1.7 or above; on Haar states at n = 3 and rotated W states at
+# n = 3..6, which have k = 2, all lie above 0.26.
+# Near a GHZ state the smallest falls linearly in eps, as the detector's
+# residual does, so the cut sits at the detector's DETECT_TOL and both
+# draw the GHZ boundary at about the same eps.
 FACE_NULL_CUT = 1e-8
-CROSS_CHECK_NMAX = 6    # the cross-checks are dense in 2^n x 2^n matrices
+CROSS_CHECK_NMAX = 6    # the verdict's limit; `compatible` is 2^n x 2^n
 
 
 @dataclass(frozen=True)
@@ -263,121 +258,6 @@ def search_max_tmax(rho: DensityMatrix, restarts: int, seed: int) -> float:
     return best
 
 
-@lru_cache(maxsize=None)
-def _local_word_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bit tables of the 4^n - 3^n Pauli words with an identity letter.
-
-    A word is an x-mask a and a z-mask b over the qubits (letter I, X, Z
-    or Y where the bit pair is 00, 10, 01 or 11), so that
-    P_w|s> = i^{#Y} (-1)^{popcount(b & s)} |s ^ a>.  Returns
-    (src, phase, flat), each of shape (4^n - 3^n, 2^n):
-    (P_w psi)[x] = phase[w, x] * psi[src[w, x]], and flat[w, x] is the
-    position of that entry, row x and column src[w, x], in the flattened
-    2^n x 2^n matrix of P_w.
-    """
-    d = 2**n
-    a, b = np.divmod(np.arange(d * d), d)
-    keep = (a | b) != d - 1
-    a, b = a[keep], b[keep]
-    popcount = np.array([bin(k).count("1") for k in range(d)])
-    x = np.arange(d)
-    src = x[None, :] ^ a[:, None]
-    sign = 1 - 2 * (popcount[b[:, None] & src] & 1)
-    phase = np.array([1, 1j, -1, -1j])[popcount[a & b] % 4][:, None] * sign
-    flat = x[None, :] * d + src
-    for arr in (src, phase, flat):
-        arr.flags.writeable = False
-    return src, phase, flat
-
-
-@dataclass(frozen=True)
-class ParentHamiltonian:
-    """A Hamiltonian in the identity-letter span and the step bound it proves.
-
-    `matrix` is H, `gap` its second-smallest eigenvalue g, and `bound`
-    the certified upper bound on every RDM-preserving step (infinite when
-    g <= 0).  `certifies` says whether the bound is small enough to stand
-    in for the face check.
-    """
-
-    matrix: np.ndarray = field(repr=False)
-    gap: float
-    bound: float
-
-    @property
-    def certifies(self) -> bool:
-        return self.bound <= CERTIFY_TMAX
-
-
-def parent_hamiltonian(psi: PureState) -> ParentHamiltonian:
-    """Project I - |psi><psi| onto {H in V : H psi = 0}, and bound the steps.
-
-    V is the real span of the 4^n - 3^n Pauli words with at least one
-    identity letter.  The constraint H psi = 0 is linear in H's word
-    coefficients: its real matrix stacks [Re; Im] of the vectors P_w psi,
-    shape (2 * 2^n, 4^n - 3^n).  One thin SVD gives that matrix's row
-    space; removing the row-space part from the coefficients of
-    I - |psi><psi| (whose full-weight part is simply dropped, the words
-    being orthogonal) leaves H, and one eigvalsh gives its spectrum.
-
-    Why H bounds the step.  Every word in V is trace-orthogonal to every
-    full-weight word, so tr(H Delta) = 0 for every RDM-preserving
-    direction Delta.  Let rho = |psi><psi| + t Delta be PSD, with Delta
-    traceless and of unit Frobenius norm, so |t| = ||rho - psi psi^dag||_F.
-    Write eps = <psi|H|psi>, r = ||H psi||, lambda_min <= g for H's two
-    lowest eigenvalues and phi its ground vector.  Then:
-
-    * tr(H rho) = eps, since the Delta term vanishes.
-    * With p = <phi|rho|phi> and tr rho = 1, tr(H rho) >= lambda_min p +
-      g (1 - p), so 1 - p <= (|eps| + max(0, -lambda_min)) / g =: delta.
-    * Fidelity 1 - delta with the pure phi gives
-      ||rho - phi phi^dag||_1 <= 2 sqrt(delta).
-    * The sin-theta theorem with shift 0: every eigenvalue of H but
-      lambda_min lies at distance >= g from 0, so the angle theta between
-      psi and phi has sin(theta) <= r / g, and
-      ||phi phi^dag - psi psi^dag||_1 = 2 sin(theta) <= 2 r / g.
-
-    The Frobenius norm is at most the trace norm, hence
-
-        |t| <= 2 sqrt((|eps| + max(0, -lambda_min)) / g) + 2 r / g.
-
-    Every quantity on the right is measured on the assembled H, so the
-    bound holds whatever the SVD's rank cut-off.  A bound near zero says
-    that psi is the unique ground state of H, so no other state, pure or
-    mixed, shares its RDMs.
-    """
-    n = psi.n
-    if not 2 <= n <= CROSS_CHECK_NMAX:
-        raise ValidationError(f"n must be in 2..{CROSS_CHECK_NMAX}, got {n}")
-    d = 2**n
-    src, phase, flat = _local_word_tables(n)
-    amps = psi.amps
-    moved = phase * amps[src]                      # row w is P_w psi
-    coeffs = -np.real(moved @ amps.conj()) / d     # of -|psi><psi| over V
-    coeffs[0] += 1.0                               # word 0 is the identity
-    constraint = np.concatenate([moved.real, moved.imag], axis=1).T
-    _, svals, vt = np.linalg.svd(constraint, full_matrices=False)
-    rank = int(np.sum(svals > svals[0] * max(constraint.shape)
-                      * np.finfo(float).eps))
-    row_space = vt[:rank]
-    coeffs -= row_space.T @ (row_space @ coeffs)
-    weights = (coeffs[:, None] * phase).ravel()
-    h = (np.bincount(flat.ravel(), weights.real, d * d)
-         + 1j * np.bincount(flat.ravel(), weights.imag, d * d)).reshape(d, d)
-    evals = np.linalg.eigvalsh(h)
-    lam_min, gap = float(evals[0]), float(evals[1])
-    h_psi = h @ amps
-    eps = float(np.real(np.vdot(amps, h_psi)))
-    resid = float(np.linalg.norm(h_psi))
-    if gap > 0:
-        bound = (2 * np.sqrt((abs(eps) + max(0.0, -lam_min)) / gap)
-                 + 2 * resid / gap)
-    else:
-        bound = float("inf")
-    h.flags.writeable = False
-    return ParentHamiltonian(h, gap, float(bound))
-
-
 @dataclass(frozen=True)
 class WitnessFamily:
     """The GHZ family disk transported through a certificate's local bases."""
@@ -395,29 +275,34 @@ class WitnessFamily:
 
 @dataclass(frozen=True)
 class FaceCheck:
-    """What the face check found on the kernel of a parent Hamiltonian.
+    """What the face check found on G, the face of psi's local supports.
 
-    `kernel_dim` is k = dim G, `null_dim` is dim N, `min_singular` the
-    smallest singular value of the partial-trace system above
-    FACE_NULL_CUT and `lambda_min` H's lowest eigenvalue.  `step` is the
-    largest RDM-preserving step found along the `directions` candidates:
-    0.0 when N = {0} proves that there is none, NaN when N = {0} but H is
-    not PSD within FACE_KERNEL_CUT, so that nothing is proved.
-    `compatible` is psi psi^dag moved by that step, or None when no step
-    was taken.  It is PSD on G, and its partial traces differ from psi's
-    by at most `step` times the system's singular values counted as zero
-    (below FACE_NULL_CUT; about 1e-15 on exact GHZ states).
+    `kernel_dim` is k = dim G and `kernel` holds an orthonormal basis of G
+    as columns.  `lambda_min` and `gap` are the two lowest eigenvalues of
+    K, the frustration-free H_ff compressed to V_1 (see `face_check`):
+    lambda_min ~ 0 belongs to psi, and gap ~ 0 exactly when k >= 2.
+    `null_dim` is dim N and `min_singular` the smallest singular value of
+    the partial-trace system above FACE_NULL_CUT.  `step` is the largest
+    RDM-preserving step found along the `directions` candidates, 0.0 when
+    N = {0} proves that there is none.  `compatible` is psi psi^dag moved
+    by that step, or None when no step was taken.  It is PSD on G, and its
+    partial traces differ from psi's by at most `step` times the system's
+    singular values counted as zero (below FACE_NULL_CUT; about 1e-15 on
+    exact GHZ states).
     """
 
     kernel_dim: int
     null_dim: int
     min_singular: float
     lambda_min: float
+    gap: float
     step: float
     directions: int
+    kernel: np.ndarray = field(repr=False)
     compatible: DensityMatrix | None = field(default=None, repr=False)
 
 
+@lru_cache(maxsize=None)
 def _hermitian_basis(k: int) -> np.ndarray:
     """Frobenius-orthonormal real basis of the k x k Hermitian matrices."""
     out = np.zeros((k * k, k, k), dtype=complex)
@@ -429,24 +314,53 @@ def _hermitian_basis(k: int) -> np.ndarray:
         out[m + 1, i, j] = 1j / np.sqrt(2)
         out[m + 1, j, i] = -1j / np.sqrt(2)
         m += 2
+    out.flags.writeable = False
     return out
 
 
-def face_check(psi: PureState, parent: ParentHamiltonian) -> FaceCheck:
-    """Find the states with psi's RDMs on the kernel of its parent H.
+@lru_cache(maxsize=None)
+def _split_index(n: int) -> np.ndarray:
+    """Flat indices of the amplitude matrices M_j, shape (n, 2, 2^(n-1)).
 
-    Why the face holds every compatible state.  H lies in the span of the
-    words with an identity letter, so tr(H rho) is fixed by rho's
-    (n-1)-RDMs, and a state rho with psi's RDMs has tr(H rho) =
-    <psi|H|psi> ~ 0.  When H >= 0, rho therefore lives on G, the span of
-    H's eigenvectors below FACE_KERNEL_CUT (one `eigh`).  So rho =
-    psi psi^dag + X with X Hermitian on G and every one-qubit-removed
-    partial trace of X zero.  Writing X over the k^2 Hermitian basis
-    elements of G makes that a real linear system of shape
-    (n 4^(n-1) 2) x k^2; one thin SVD gives its null space N.
+    v[_split_index(n)][j - 1] is v as a 2 x 2^(n-1) matrix with qubit j
+    as the row index and the other qubits, in order, as the column index.
+    """
+    low = 2 ** (n - np.arange(1, n + 1))[:, None, None]      # 2^(n-j)
+    rest = np.arange(2 ** (n - 1))
+    out = (rest // low) * 2 * low + np.arange(2)[:, None] * low + rest % low
+    out.flags.writeable = False
+    return out
+
+
+def face_check(psi: PureState) -> FaceCheck:
+    """Find the states with psi's RDMs on the face of its local supports.
+
+    Why the face holds every compatible state.  psi's RDM with qubit j
+    traced out is rho_(j) = M_j^T conj(M_j), M_j being psi's 2 x 2^(n-1)
+    amplitude matrix with qubit j as the row index, so its support S_j is
+    M_j's row space and dim S_j <= 2.  A state rho with psi's RDMs has
+    tr_j rho = rho_(j), so its range lies in V_j = C^2_j (x) S_j for every
+    j, hence in G, the intersection of the V_j.  G is the kernel of the
+    frustration-free H_ff = sum_j I_j (x) (I - P_j), with P_j projecting
+    onto S_j (Fannes, Nachtergaele and Werner, CMP 1992).  H_ff is PSD by
+    construction, and G lies in V_1, whose dimension is at most 4.  So one
+    batched thin SVD of the n matrices M_j gives every S_j (singular
+    values at or below numpy's matrix-rank cut count as zero), and one
+    `eigh` of K, H_ff compressed to V_1, gives G: K's eigenvectors below
+    FACE_KERNEL_CUT.  Cost is O(n 2^n); no 2^n x 2^n matrix is formed
+    unless a step is taken.
+
+    So rho = psi psi^dag + X with X Hermitian on G and every
+    one-qubit-removed partial trace of X zero.  For g_a, g_b in G, write
+    g_a's M_j as C_a B_j, with the rows of B_j an orthonormal basis of S_j
+    and C_a a 2 x 2 coordinate matrix.  Then tr_j |g_a><g_b| =
+    B_j^T (C_a^T conj(C_b)) conj(B_j), so the 2 x 2 block C_a^T conj(C_b)
+    has the partial trace's Frobenius norm.  Writing X over the k^2
+    Hermitian basis elements of G makes the constraints a real linear
+    system of shape (8n) x k^2, and one thin SVD gives its null space N.
 
     * N = {0}: psi psi^dag is the only compatible state, so psi is
-      determined, and `step` is 0.0.
+      determined, and `step` is 0.0.  k = 1 always lands here.
     * Otherwise every basis element of N is an RDM-preserving direction.
       Each is normalised to unit Frobenius norm and stepped in G's k x k
       coordinates: `qstate.psd_segment` gives the exact ends of the
@@ -460,57 +374,68 @@ def face_check(psi: PureState, parent: ParentHamiltonian) -> FaceCheck:
       other than psi psi^dag therefore exists iff that functional is
       nonzero on N, hence on one of N's basis elements: stepping along
       each basis element is exact.
-    * For k > 2 (at n = 2 H is 0 and k = 4) the candidates also include
-      the projection onto N of rho_1 (x) ... (x) rho_n - psi psi^dag,
-      where rho_j are psi's one-qubit RDMs.  At n = 2 that matrix is
-      already in N, and every point of the segment to it is a state.
+    * For k > 2 (an entangled psi at n = 2 has k = 4) the candidates also
+      include the projection onto N of rho_1 (x) ... (x) rho_n -
+      psi psi^dag, where rho_j = M_j M_j^dag are psi's one-qubit RDMs.  At
+      n = 2 that matrix is already in N, and every point of the segment
+      to it is a state.
     """
     n = psi.n
-    evals, evecs = np.linalg.eigh(parent.matrix)
-    lam_min = float(evals[0])
-    g = evecs[:, evals < FACE_KERNEL_CUT]
+    index = _split_index(n)
+    mats = psi.amps[index]
+    _, svals, vh = np.linalg.svd(mats, full_matrices=False)
+    keep = svals > svals[:, :1] * (2 ** (n - 1) * np.finfo(float).eps)
+    s1 = vh[0, keep[0]]
+    v1 = np.zeros((2 * len(s1), 2**n), dtype=complex)  # rows span V_1
+    v1[:len(s1), :2 ** (n - 1)] = v1[len(s1):, 2 ** (n - 1):] = s1
+    # row p holds C for v1's row p at every j; rows of vh outside S_j are
+    # zeroed, so they add nothing
+    coords = (v1[:, index] @ (vh * keep[..., None]).conj().swapaxes(1, 2)
+              ).reshape(len(v1), -1)
+    # K_pq = sum_j (delta_pq - <p| I_j (x) P_j |q>), so K is n I minus the
+    # Gram matrix of the rows of coords
+    evals, evecs = np.linalg.eigh(-coords.conj() @ coords.T)
+    evals += n
+    y = evecs[:, evals < FACE_KERNEL_CUT]
+    g = v1.T @ y                        # G's orthonormal basis as columns
     k = g.shape[1]
+    c = (y.T @ coords).reshape(k, n, 2, 2)
     basis = _hermitian_basis(k)
-    mats = np.einsum("ia,mab,jb->mij", g, basis, g.conj())
-    traces = np.array([
-        np.concatenate([partial_trace_matrix(m, n, [j]).ravel()
-                        for j in range(1, n + 1)]) for m in mats])
-    system = np.concatenate([traces.real, traces.imag], axis=1).T
+    traces = np.einsum("mab,ajis,bjit->mjst", basis, c, c.conj())
+    # rows are the real and imaginary parts of every block entry
+    system = traces.reshape(k * k, -1).view(float).T
     _, svals, vt = np.linalg.svd(system, full_matrices=False)
     null = vt[svals <= FACE_NULL_CUT]
     candidates = list(null)
-    rho = np.outer(psi.amps, psi.amps.conj())
     if k > 2 and len(null):
-        product = np.ones((1, 1))
-        for j in range(1, n + 1):
-            others = [i for i in range(1, n + 1) if i != j]
-            product = np.kron(product,
-                              partial_trace_matrix(rho, n, others))
+        rho = np.outer(psi.amps, psi.amps.conj())
+        product = reduce(np.kron, mats @ mats.conj().swapaxes(1, 2))
         # the basis elements are Hermitian and orthonormal, so the
-        # coefficients of a Hermitian matrix are tr(B_m M)
-        coeffs = np.real(np.einsum("mij,ji->m", mats, product - rho))
+        # coefficients of a Hermitian matrix M are tr(B_m g^dag M g)
+        coeffs = np.real(np.einsum("mab,ba->m", basis,
+                                   g.conj().T @ (product - rho) @ g))
         coeffs = null.T @ (null @ coeffs)
         if np.linalg.norm(coeffs) > FACE_NULL_CUT:
             candidates.append(coeffs)
     step, compatible = 0.0, None
     if candidates:
         # g has orthonormal columns, so a unit c is a unit-norm g x g^dag
-        c = np.array(candidates)
-        xs = np.tensordot(c / np.linalg.norm(c, axis=1)[:, None], basis,
+        cs = np.array(candidates)
+        xs = np.tensordot(cs / np.linalg.norm(cs, axis=1)[:, None], basis,
                           axes=1)
-        coords = g.conj().T @ psi.amps
-        ends = np.stack(psd_segment(np.outer(coords, coords.conj()), xs),
+        on_g = g.conj().T @ psi.amps
+        ends = np.stack(psd_segment(np.outer(on_g, on_g.conj()), xs),
                         axis=1).ravel()
         top = int(np.argmax(np.abs(ends)))
         if ends[top] != 0.0:
             step = abs(float(ends[top]))
-            compatible = rho + ends[top] * (g @ xs[top // 2] @ g.conj().T)
-    if not len(null) and lam_min < -FACE_KERNEL_CUT:
-        step = float("nan")
+            compatible = DensityMatrix(
+                n, np.outer(psi.amps, psi.amps.conj())
+                + ends[top] * (g @ xs[top // 2] @ g.conj().T))
     return FaceCheck(
-        k, len(null), float(np.min(svals[svals > FACE_NULL_CUT])), lam_min,
-        step, len(candidates),
-        None if compatible is None else DensityMatrix(n, compatible))
+        k, len(null), float(np.min(svals[svals > FACE_NULL_CUT])),
+        float(evals[0]), float(evals[1]), step, len(candidates), g,
+        compatible)
 
 
 @dataclass(frozen=True)
@@ -522,10 +447,32 @@ class CompatVerdict:
     samples_used: int
     anomaly: str | None = None
     witness_rdm_residual: float | None = None
-    parent_gap: float | None = None  # None when no cross-check ran
-    # which cross-check ran: "parent_hamiltonian", "face" or None
-    cross_check: str | None = None
+    parent_gap: float | None = None  # the face's gap; None when it did not run
+    cross_check: str | None = None   # "face", or None when it did not run
     face: FaceCheck | None = None    # None unless the face check ran
+
+
+def _witness_residual(psi: PureState, cert: GhzCertificate) -> float:
+    """Max over j of the Frobenius distance between psi's and the fit's RDMs.
+
+    The fit is a u^ + b v^, with u^ and v^ the products of the
+    certificate's local bases; its RDMs are the z = 0 member's (see
+    `determinedness`).  With W_j stacking the rows of psi's and the fit's
+    M_j, one batched QR W_j^T = Q R (R at most 4 x 4) gives M_j^T = Q R_M
+    and the fit's M_j^T = Q R_F, so the distance between the RDMs
+    M_j^T conj(M_j) is ||R_M R_M^dag - R_F R_F^dag||_F, taken entry by
+    entry: no cancellation between two large norms.
+    """
+    us, vs = zip(*cert.local_bases)
+    fit = (cert.params.a * reduce(np.multiply.outer, us)
+           + cert.params.b * reduce(np.multiply.outer, vs)).ravel()
+    index = _split_index(psi.n)
+    rows = np.concatenate([psi.amps[index], fit[index]], axis=1)
+    r = np.linalg.qr(rows.swapaxes(1, 2), mode="r")
+    ours, fits = r[..., :2], r[..., 2:]
+    diff = (ours @ ours.conj().swapaxes(1, 2)
+            - fits @ fits.conj().swapaxes(1, 2))
+    return float(np.max(np.linalg.norm(diff, axis=(1, 2))))
 
 
 def determinedness(psi: PureState, tol: float = 1e-8,
@@ -533,10 +480,9 @@ def determinedness(psi: PureState, tol: float = 1e-8,
     """Is psi the unique state (pure or mixed) with its RDM tuple?
 
     The verdict follows the GHZ-type theorem: determined iff psi is not
-    GHZ-type.  An independent numeric cross-check follows: a parent
-    Hamiltonian certificate first, and the face check on that
-    Hamiltonian's kernel when the certificate does not certify (see the
-    module docstring and `face_check`).  Both are deterministic, so
+    GHZ-type.  An independent numeric cross-check follows on every
+    conclusive verdict: the face check on psi's local supports (see the
+    module docstring and `face_check`).  It is deterministic, so
     `restarts` and `seed` no longer move the result; `restarts` is still
     validated (>= 1).  Disagreement is reported as an anomaly, never
     silently reconciled; several anomalies are joined with "; " in the
@@ -553,9 +499,9 @@ def determinedness(psi: PureState, tol: float = 1e-8,
     detector returns orthogonal pairs on both of its branches: in the
     gapped branch they are `eigh` eigenvectors of one single-qubit RDM,
     and in the degenerate branch `_orthogonalize` makes each v_j
-    orthogonal to u_j.  So every member has the z = 0 member's RDM
-    tuple, and `witness_rdm_residual` compares psi's tuple with that one
-    member's.
+    orthogonal to u_j.  So every member, and the fit a u^ + b v^ itself,
+    has the z = 0 member's RDM tuple, and `witness_rdm_residual` compares
+    psi's RDMs with the fit's in factored form (`_witness_residual`).
     """
     if not 2 <= psi.n <= CROSS_CHECK_NMAX:
         raise ValidationError(
@@ -569,33 +515,25 @@ def determinedness(psi: PureState, tol: float = 1e-8,
     witness_res = None
     if cert.is_ghz:
         family = WitnessFamily(cert.params, cert.local_bases)
-        witness_res = rdm_max_distance(ptr_tuple(family.member(0.0)),
-                                       ptr_tuple(psi.projector()))
-    parent = parent_hamiltonian(psi)
-    face = None
-    if parent.certifies:
-        method, sup, samples = "parent_hamiltonian", parent.bound, 0
-        found = (f"a parent Hamiltonian (gap {parent.gap:.3e}) bounds "
-                 f"every step by {sup:.3e}")
-    else:
-        face = face_check(psi, parent)
-        method, sup, samples = "face", face.step, face.directions
-        found = (f"the face check found no compatible state (largest step "
-                 f"{sup:.3e}, kernel dim {face.kernel_dim}, null dim "
-                 f"{face.null_dim})")
+        witness_res = _witness_residual(psi, cert)
+    face = face_check(psi)
+    sup = face.step
     determined = not cert.is_ghz
     anomalies = []
     if determined and sup > 1e-4:
         anomalies.append(f"theorem says determined but the face check "
                          f"found a compatible state at step {sup:.3e}")
     if not determined and not sup >= 1e-6:
-        anomalies.append(f"theorem says undetermined but {found}")
+        anomalies.append(f"theorem says undetermined but the face check "
+                         f"found no compatible state (largest step "
+                         f"{sup:.3e}, kernel dim {face.kernel_dim}, null "
+                         f"dim {face.null_dim})")
     if witness_res is not None and witness_res > RDM_EQUAL_TOL:
         anomalies.append(f"witness family RDM residual {witness_res:.3e} "
                          f"exceeds {RDM_EQUAL_TOL:.0e}")
-    return CompatVerdict(determined, cert, family, sup, samples,
+    return CompatVerdict(determined, cert, family, sup, face.directions,
                          "; ".join(anomalies) or None, witness_res,
-                         parent.gap, method, face)
+                         face.gap, "face", face)
 
 
 def rank2_check(psi: PureState, omega: DensityMatrix) -> bool:

@@ -153,9 +153,12 @@ def test_verdict_w_state_exits_0(tmp_path, capsys):
     assert report["determined"] is True
     assert report["numeric_sup_tmax"] <= 1e-6
     assert report["samples_used"] == 0
-    assert report["cross_check"]["method"] == "parent_hamiltonian"
-    assert report["cross_check"]["parent_gap"] > 0.01
-    assert report["cross_check"]["kernel_dim"] is None
+    # W has k = 2, so the face's gap is 0, and N = {0} proves it determined
+    assert report["cross_check"]["method"] == "face"
+    assert report["cross_check"]["parent_gap"] <= 1e-8
+    assert report["cross_check"]["kernel_dim"] == 2
+    assert report["cross_check"]["null_dim"] == 0
+    assert report["cross_check"]["min_nonzero_singular"] > 0.1
 
 
 def test_verdict_rotated_degenerate_ghz_exits_3(tmp_path, capsys):

@@ -1,19 +1,20 @@
 """Tests for the RDM-preserving direction span, PSD feasibility search,
 determinedness verdicts, and the rank-2 check."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from rdmkit import compat
 from rdmkit.compat import (determinedness, direction_from_coeffs,
                            direction_from_matrix, face_check,
-                           fullweight_basis, parent_hamiltonian, rank2_check,
-                           search_max_tmax, tmax_along)
+                           fullweight_basis, rank2_check, search_max_tmax,
+                           tmax_along)
 from rdmkit.ghz import GhzCertificate, GhzParams, ghz_family, make_ghz
-from rdmkit.qstate import (DensityMatrix, PauliWord, PureState,
-                           ValidationError, apply_local_unitaries,
-                           haar_random_state, numeric_rank,
-                           random_local_unitaries)
+from rdmkit.qstate import (DensityMatrix, PureState, ValidationError,
+                           apply_local_unitaries, haar_random_state,
+                           numeric_rank, random_local_unitaries)
 from rdmkit.rdm import (partial_trace_matrix, ptr_tuple, rdm_max_distance,
                         require_equal_rdms)
 
@@ -278,7 +279,7 @@ def test_verdict_validates_before_either_cross_check():
         determinedness(haar_random_state(7, 1))
 
 
-# ------------------------------------------------------- parent Hamiltonian
+# ------------------------------------------------ the face as a proof
 
 def determined_corpus():
     for n in (3, 4):
@@ -288,70 +289,129 @@ def determined_corpus():
         yield rotated(product_state(n), 4300 + n)
 
 
-def test_parent_hamiltonian_is_a_checkable_proof():
-    # H uses no full-weight word, annihilates psi and is gapped above it
-    psi = haar_random_state(3, 4001)
-    parent = parent_hamiltonian(psi)
-    for w in fullweight_basis(3).words:
-        assert abs(np.trace(w.matrix() @ parent.matrix)) <= 1e-12
-    assert np.linalg.norm(parent.matrix @ psi.amps) <= 1e-12
-    assert np.allclose(parent.matrix, parent.matrix.conj().T, atol=1e-14)
-    evals = np.linalg.eigvalsh(parent.matrix)
+def embed(mat, n, j):
+    """I_j (x) mat, with mat acting on every qubit but j (1-based)."""
+    lo, hi = 2 ** (j - 1), 2 ** (n - j)
+    t = np.einsum("pqrs,ik->piqrks", mat.reshape(lo, hi, lo, hi),
+                  np.eye(2))
+    return t.reshape(2**n, 2**n)
+
+
+def dense_frustration_free(psi):
+    """H_ff = sum_j I_j (x) (I - P_j), P_j the support of psi's rho_(j)."""
+    n, rho = psi.n, psi.projector().mat
+    h = np.zeros((2**n, 2**n), dtype=complex)
+    for j in range(1, n + 1):
+        evals, evecs = np.linalg.eigh(partial_trace_matrix(rho, n, [j]))
+        kept = evecs[:, evals > 1e-12]
+        h += embed(np.eye(2 ** (n - 1)) - kept @ kept.conj().T, n, j)
+    return h
+
+
+def oracle_corpus():
+    for n in (2, 3, 4, 5):
+        for kind, psi in (
+                ("haar", haar_random_state(n, 5000 + n)),
+                ("w", rotated(w_state(n), 5010 + n)),
+                ("product", rotated(product_state(n), 5020 + n)),
+                ("ghz", rotated_ghz(n, 5030 + n)),
+                ("ghz-equal",
+                 rotated(make_ghz(n, INV_SQRT2, INV_SQRT2 * 1j), 5040 + n))):
+            yield pytest.param(psi, id=f"{kind}-n{n}")
+
+
+@pytest.mark.parametrize("psi", oracle_corpus())
+def test_face_kernel_is_the_kernel_of_a_dense_parent_hamiltonian(psi):
+    # the dense H_ff is a checkable proof object: PSD, psi in its kernel,
+    # and in the identity-letter span, so tr(H_ff rho) = 0 for every state
+    # rho with psi's RDMs; its kernel is the face check's G
+    h = dense_frustration_free(psi)
+    assert np.allclose(h, h.conj().T, atol=1e-14)
+    evals, evecs = np.linalg.eigh(h)
     assert evals[0] >= -1e-12
-    assert parent.gap == evals[1] > 0.01
-    assert parent.certifies
+    assert np.linalg.norm(h @ psi.amps) <= 1e-12
+    for w in fullweight_basis(psi.n).words:
+        assert abs(np.trace(w.matrix() @ h)) <= 1e-12
+    kernel = evecs[:, evals < 1e-8]
+    face = face_check(psi)
+    assert face.kernel_dim == kernel.shape[1]
+    g = face.kernel
+    assert np.linalg.norm(g @ g.conj().T
+                          - kernel @ kernel.conj().T) <= 1e-10
 
 
-def test_parent_hamiltonian_certifies_a_two_qubit_product_state():
-    # at n=2 every word with an identity letter has weight <= 1: IZ and
-    # ZI pin |00>, and no full-weight word may take part
-    parent = parent_hamiltonian(product_state(2))
-    zi = PauliWord("ZI").matrix()
-    iz = PauliWord("IZ").matrix()
-    assert abs(np.trace(zi @ parent.matrix)) > 0.1
-    assert abs(np.trace(iz @ parent.matrix)) > 0.1
-    assert parent.certifies
+def test_face_of_a_sum_of_two_products_is_their_span():
+    rng = np.random.default_rng(5100)
+    for n in (3, 4, 5, 6):
+        prods = []
+        for _ in range(2):
+            p = np.ones(1, dtype=complex)
+            for _ in range(n):
+                p = np.kron(p, rng.standard_normal(2)
+                            + 1j * rng.standard_normal(2))
+            prods.append(p / np.linalg.norm(p))
+        span = np.linalg.qr(np.stack(prods, axis=1))[0]
+        amps = span @ (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+        face = face_check(PureState(n, amps / np.linalg.norm(amps)))
+        assert face.kernel_dim == 2
+        g = face.kernel
+        assert np.linalg.norm(g @ g.conj().T
+                              - span @ span.conj().T) <= 1e-12
+
+
+def test_face_check_proves_a_two_qubit_product_state_determined():
+    # at n=2 the supports of |00>'s RDMs are one-dimensional, so G is
+    # span(|00>) and the face leaves no room for another state
+    face = face_check(rotated(product_state(2), 5101))
+    assert (face.kernel_dim, face.null_dim, face.step) == (1, 0, 0.0)
+    assert face.gap >= 1.0
+    assert face.compatible is None
 
 
 def test_certificate_and_search_agree_on_determined_states():
     for psi in determined_corpus():
-        parent = parent_hamiltonian(psi)
-        assert parent.certifies, (psi.n, parent.gap, parent.bound)
+        face = face_check(psi)
+        assert (face.null_dim, face.step) == (0, 0.0), psi.n
         assert search_max_tmax(psi.projector(), restarts=8, seed=0) <= 1e-6
 
 
 def test_certified_bound_holds_along_sampled_directions():
     rng = np.random.default_rng(8)
     for psi in list(determined_corpus())[:5]:
-        bound = parent_hamiltonian(psi).bound
+        assert face_check(psi).null_dim == 0
         for _ in range(5):
             d = direction_from_coeffs(psi.n, rng.standard_normal(3**psi.n))
             tm, tp = tmax_along(psi.projector(), d)
-            assert max(tp, -tm) <= max(bound, 1e-8)
+            assert max(tp, -tm) <= 1e-8
 
 
 def test_verdict_uses_certificate_on_determined_states():
-    v = determinedness(rotated(w_state(4), 9), restarts=64, seed=0)
-    assert v.determined is True
-    assert v.anomaly is None
-    assert v.cross_check == "parent_hamiltonian"
-    assert v.samples_used == 0
-    assert v.parent_gap > 0.01
-    assert v.numeric_sup_tmax <= 1e-6
+    # the face check proves both determined: k = 2 with N = {0} for the W
+    # state, k = 1 (a gapped K) for the Haar state
+    for psi, k in ((rotated(w_state(4), 9), 2), (haar_random_state(4, 9), 1)):
+        v = determinedness(psi, restarts=64, seed=0)
+        assert v.determined is True
+        assert v.anomaly is None
+        assert v.cross_check == "face"
+        assert (v.face.kernel_dim, v.face.null_dim) == (k, 0)
+        assert v.samples_used == 0
+        assert v.parent_gap == v.face.gap
+        assert (v.parent_gap > 0.01) == (k == 1)
+        assert v.numeric_sup_tmax == 0.0
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_ghz_gets_no_certificate_and_search_runs(n):
     psi = rotated_ghz(n, 4400 + n)
-    parent = parent_hamiltonian(psi)
-    assert parent.gap <= 1e-8
-    assert not parent.certifies
+    face = face_check(psi)
+    assert face.gap <= 1e-8
+    assert face.null_dim > 0
     v = determinedness(psi, restarts=1, seed=0)
     assert v.determined is False
     assert v.anomaly is None
     assert v.cross_check == "face"
     assert v.samples_used > 0
-    assert v.parent_gap == parent.gap
+    assert v.parent_gap == face.gap
     assert v.numeric_sup_tmax > 0.1
 
 
@@ -403,46 +463,79 @@ def test_verdict_never_runs_the_search(monkeypatch):
         assert v.anomaly is None
 
 
-def test_ghz_verdict_builds_two_rdm_tuples(monkeypatch):
-    # psi's and the witness family's z = 0 member's: every other member
-    # has that member's RDMs (see the determinedness docstring)
+def test_ghz_verdict_builds_no_rdm_tuple(monkeypatch):
+    # the witness residual compares psi's RDMs with the fit's in factored
+    # form, so no RDM tuple and no witness member is built
     calls = []
 
     def counted(rho):
         calls.append(rho)
         return ptr_tuple(rho)
 
+    def fail(self, z):
+        raise AssertionError("member called")
+
     monkeypatch.setattr(compat, "ptr_tuple", counted)
+    monkeypatch.setattr(compat.WitnessFamily, "member", fail)
     v = determinedness(rotated_ghz(4, 4409))
     assert v.determined is False
     assert v.anomaly is None
-    assert len(calls) == 2
+    assert len(calls) == 0
+
+
+@pytest.mark.parametrize("psi", witness_cases())
+def test_factored_witness_residual_matches_the_dense_one(psi):
+    v = determinedness(psi)
+    dense = rdm_max_distance(ptr_tuple(v.witness_family.member(0.0)),
+                             ptr_tuple(psi.projector()))
+    assert abs(v.witness_rdm_residual - dense) <= 1e-13
+
+
+@pytest.mark.parametrize("kind", ["haar", "w"])
+def test_determined_verdict_memory_is_linear_in_the_state(kind):
+    # nothing of size 2^n x 2^n: a dense 64 x 64 matrix alone is 64 times
+    # psi's 1 KB of amplitudes at n=6
+    psi = (haar_random_state(6, 5102) if kind == "haar"
+           else rotated(w_state(6), 5103))
+    determinedness(psi)             # fill the per-n caches first
+    tracemalloc.start()
+    try:
+        v = determinedness(psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v.determined is True and v.anomaly is None
+    assert peak < 128 * psi.amps.nbytes
 
 
 def test_face_check_never_validates_psi_projector(monkeypatch):
     psi = rotated_ghz(4, 4410)
-    parent = parent_hamiltonian(psi)
 
     def fail(self):
         raise AssertionError("projector called")
 
     monkeypatch.setattr(PureState, "projector", fail)
-    face = face_check(psi, parent)
+    face = face_check(psi)
     assert (face.kernel_dim, face.null_dim) == (2, 2)
     assert isinstance(face.compatible, DensityMatrix)
 
 
 def test_certificate_on_a_ghz_verdict_is_an_anomaly(monkeypatch):
+    # a face with k = 1 proves psi determined, which contradicts the
+    # detector's GHZ verdict
     psi = rotated_ghz(3, 4600)
-    fake = compat.ParentHamiltonian(np.eye(8), gap=0.5, bound=1e-7)
-    monkeypatch.setattr(compat, "parent_hamiltonian", lambda psi: fake)
+    fake = compat.FaceCheck(1, 0, 1.0, 0.0, 0.5, 0.0, 0,
+                            psi.amps[:, None])
+    monkeypatch.setattr(compat, "face_check", lambda psi: fake)
     v = determinedness(psi, restarts=1, seed=0)
     assert v.determined is False
-    assert v.cross_check == "parent_hamiltonian"
+    assert v.cross_check == "face"
     assert v.samples_used == 0
-    assert v.numeric_sup_tmax == 1e-7
-    assert v.anomaly.startswith("theorem says undetermined but a parent "
-                                "Hamiltonian (gap 5.000e-01)")
+    assert v.numeric_sup_tmax == 0.0
+    assert v.parent_gap == 0.5
+    assert v.anomaly == ("theorem says undetermined but the face check "
+                         "found no compatible state (largest step "
+                         "0.000e+00, kernel dim 1, null dim 0)")
 
 
 def test_every_anomaly_is_kept(monkeypatch):
@@ -453,9 +546,9 @@ def test_every_anomaly_is_kept(monkeypatch):
                         lambda psi, tol=1e-8: ghz_cert)
     v = determinedness(w_state(3), restarts=1, seed=0)
     assert v.determined is False
-    assert v.cross_check == "parent_hamiltonian"
-    assert v.anomaly.startswith("theorem says undetermined but a parent "
-                                "Hamiltonian")
+    assert v.cross_check == "face"
+    assert v.anomaly.startswith("theorem says undetermined but the face "
+                                "check found no compatible state")
     assert "; witness family RDM residual" in v.anomaly
 
 
@@ -471,7 +564,7 @@ def ghz_corpus():
 
 def test_face_of_a_rotated_ghz_state_has_k_2_and_dim_n_2():
     for psi in ghz_corpus():
-        face = face_check(psi, parent_hamiltonian(psi))
+        face = face_check(psi)
         assert (face.kernel_dim, face.null_dim) == (2, 2), psi.n
         assert face.directions == 2
         assert face.min_singular > 1.0
@@ -481,11 +574,11 @@ def test_face_of_a_rotated_ghz_state_has_k_2_and_dim_n_2():
 
 @pytest.mark.parametrize("a2", [0.5, 0.95, 0.99])
 def test_face_check_steps_to_the_product_of_marginals_at_n2(a2):
-    # at n=2 H is 0 and k = 4; stepping along a basis of N alone finds
+    # at n=2 psi's supports are all of C^2, so k = 4; stepping along a basis of N alone finds
     # nothing at a2 = 0.95, the segment to rho_A (x) rho_B does
     amps = np.array([np.sqrt(a2), 0, 0, np.sqrt(1 - a2)], dtype=complex)
     psi = rotated(PureState(2, amps), 4900)
-    face = face_check(psi, parent_hamiltonian(psi))
+    face = face_check(psi)
     assert (face.kernel_dim, face.null_dim, face.directions) == (4, 9, 10)
     rho = psi.projector().mat
     product = np.kron(partial_trace_matrix(rho, 2, {2}),
@@ -499,7 +592,6 @@ def test_face_check_proves_near_ghz_states_determined(n, eps):
     amps = (make_ghz(n, np.sqrt(0.7), np.sqrt(0.3)).amps
             + eps * haar_random_state(n, 4950 + n).amps)
     psi = rotated(PureState(n, amps / np.linalg.norm(amps)), 4960 + n)
-    assert not parent_hamiltonian(psi).certifies
     v = determinedness(psi)
     assert v.determined is True
     assert v.anomaly is None
@@ -514,7 +606,7 @@ def test_face_check_returns_a_compatible_state():
                                       dtype=complex))
     for psi in (rotated_ghz(3, 4501), rotated_ghz(4, 4502),
                 rotated(two_qubit, 4503)):
-        face = face_check(psi, parent_hamiltonian(psi))
+        face = face_check(psi)
         omega = face.compatible
         assert np.linalg.eigvalsh(omega.mat)[0] >= -1e-9
         require_equal_rdms(ptr_tuple(omega), ptr_tuple(psi.projector()))
@@ -526,23 +618,6 @@ def test_face_check_returns_a_compatible_state():
             assert numeric_rank(omega.mat) == 1
             partner = np.linalg.eigh(omega.mat)[1][:, -1]
             assert abs(np.vdot(psi.amps, partner)) < 1 - 1e-8
-
-
-def test_face_check_proves_nothing_when_h_is_not_psd():
-    # H psi = 0 and ker H = span(psi), but H has an eigenvalue -1, so a
-    # compatible state need not live on the face: no step, and NaN
-    psi = haar_random_state(3, 4504)
-    phi = haar_random_state(3, 4505).amps
-    phi = phi - np.vdot(psi.amps, phi) * psi.amps
-    phi /= np.linalg.norm(phi)
-    h = (np.eye(8) - np.outer(psi.amps, psi.amps.conj())
-         - 2 * np.outer(phi, phi.conj()))
-    face = face_check(psi, compat.ParentHamiltonian(h, gap=-1.0,
-                                                    bound=np.inf))
-    assert (face.kernel_dim, face.null_dim) == (2, 0)
-    assert face.lambda_min == pytest.approx(-1.0)
-    assert np.isnan(face.step)
-    assert face.compatible is None
 
 
 # ----------------------------------------------------------- RDM preservation

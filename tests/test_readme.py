@@ -1,5 +1,6 @@
 """The README's command-line examples run as written."""
 
+import importlib
 import re
 import shlex
 from pathlib import Path
@@ -45,3 +46,18 @@ def test_readme_commands_exit_0(tmp_path, monkeypatch, capsys):
         codes[" ".join(argv)] = main(argv)
         capsys.readouterr()
     assert codes == {line: 0 for line in codes}
+
+
+def test_library_overview_names_exist():
+    # every backticked identifier in a row is an attribute of its module
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Library overview", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:-1] for line in section.splitlines()
+            if line.startswith("| `rdmkit.")]
+    assert len(rows) == 6
+    for module_cell, contents in rows:
+        module = importlib.import_module(module_cell.strip().strip("`"))
+        names = re.findall(r"`([A-Za-z_]\w*)`", contents)
+        assert names, module_cell
+        missing = [name for name in names if not hasattr(module, name)]
+        assert not missing, (module.__name__, missing)
