@@ -9,6 +9,7 @@ significant bit).  Exit codes: 0 ok/determined, 2 input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -87,7 +88,7 @@ def load_state(path: str):
         raise
     except ValidationError as exc:
         raise CliError(f"{path}: invariant violated: {exc}")
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise CliError(f"{path}: malformed data: {exc}")
 
 
@@ -365,9 +366,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# main's one parser per process: parse_args returns a fresh Namespace and
+# leaves the parser as it was, so every call can share it
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     args._argv = argv
     args._t0 = time.perf_counter()
     try:

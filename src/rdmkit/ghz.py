@@ -41,8 +41,9 @@ class GhzParams:
 class GhzCertificate:
     """Outcome of GHZ-type detection.
 
-    When is_ghz: params holds magnitudes with |a| >= |b|, local_bases the n
-    orthonormal pairs (u_i, v_i), and residual the reassembly distance.
+    When is_ghz: params holds unit magnitudes with |a| >= |b|, local_bases
+    the n orthonormal pairs (u_i, v_i), and residual the reassembly
+    distance.
     inconclusive marks a degenerate-branch product vector whose
     nonproductness falls between tol and CLEAR_FALSE_NONPRODUCT;
     diagnostics carries the numbers behind the decision.
@@ -169,7 +170,13 @@ def _product_root_in_span(chi: np.ndarray, n_rest: int) -> np.ndarray:
 
 def _assemble_certificate(psi: PureState, us: list, vs: list,
                           tol: float, diagnostics: dict) -> GhzCertificate:
-    """Given candidate per-qubit bases, score the reassembly and decide."""
+    """Given candidate per-qubit bases, score the reassembly and decide.
+
+    The fitted amplitudes a = <u|psi>, b = <v|psi> satisfy
+    |a|^2 + |b|^2 = 1 - r^2 for the reassembly residual r, so the params
+    are (|a|, |b|) / sqrt(|a|^2 + |b|^2), a unit pair for any r <= tol;
+    r itself stays in the certificate's residual.
+    """
     n = psi.n
     tu = us[0]
     tv = vs[0]
@@ -189,7 +196,8 @@ def _assemble_certificate(psi: PureState, us: list, vs: list,
     vs = list(vs)
     us[0] = us[0] * (a / abs(a))
     vs[0] = vs[0] * (b / abs(b))
-    a, b = abs(a), abs(b)
+    norm = float(np.hypot(abs(a), abs(b)))
+    a, b = abs(a) / norm, abs(b) / norm
     if b > a:
         a, b = b, a
         us, vs = vs, us

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and state-file I/O."""
 
+import argparse
 import json
 import sys
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import rdmkit
-from rdmkit.cli import load_state, main, save_state
+from rdmkit.cli import build_parser, load_state, main, save_state
 from rdmkit.ghz import GhzParams, ghz_family, make_ghz
 from rdmkit.qstate import (DensityMatrix, PureState, apply_local_unitaries,
                            haar_random_state, random_local_unitaries)
@@ -75,6 +76,25 @@ def test_rdm_rejects_non_finite_density_entry(tmp_path, capsys, token):
     assert code == 2
     assert report is None
     assert "finite" in err
+
+
+def test_integer_too_large_for_a_float_is_malformed_data(tmp_path, capsys):
+    big = "1" + "0" * 400
+    psi_path = write_ghz(tmp_path / "psi.json")
+    pure = tmp_path / "big_pure.json"
+    pure.write_text('{"format": "rdmkit-state-v1", "kind": "pure", "n": 1, '
+                    f'"data": [[{big}, 0], [0, 0]]}}')
+    density = tmp_path / "big_density.json"
+    density.write_text('{"format": "rdmkit-state-v1", "kind": "density", '
+                       f'"n": 1, "data": [[[{big}, 0], [0, 0]], '
+                       '[[0, 0], [0, 0]]]}')
+    for argv in (["verdict", str(pure)],
+                 ["partner", psi_path, str(density)]):
+        code, report, err = run(capsys, argv)
+        assert code == 2
+        assert report is None
+        assert err.startswith("error: ") and "malformed data" in err
+        assert "Traceback" not in err
 
 
 def test_report_command_is_the_argv_given_to_main(tmp_path, capsys):
@@ -220,6 +240,23 @@ def test_verdict_deterministic_given_seed(tmp_path, capsys):
     assert rep1["numeric_sup_tmax"] == rep2["numeric_sup_tmax"]
 
 
+def test_verdict_near_ghz_at_a_loose_tol_gets_unit_magnitudes(tmp_path,
+                                                              capsys):
+    # the fitted |a|^2 + |b|^2 is 1 - r^2 with r up to tol; the params are
+    # renormalised, so an allowed --tol never makes the input an error
+    psi = apply_local_unitaries(make_ghz(4, np.sqrt(0.7), np.sqrt(0.3)),
+                                random_local_unitaries(4, 3))
+    v = psi.amps + 1e-5 * haar_random_state(4, 9).amps
+    p = tmp_path / "near.json"
+    save_state(str(p), PureState(4, v / np.linalg.norm(v)))
+    code, report, err = run(capsys, ["verdict", str(p), "--tol", "5e-5"])
+    assert code != 2, err
+    assert report is not None
+    a, b = report["certificate"]["magnitudes"]
+    assert report["certificate"]["residual"] > 1e-6
+    assert abs(a * a + b * b - 1) <= 1e-12
+
+
 # -------------------------------------------------------------------- partner
 
 def test_partner_symmetric_ghz(tmp_path, capsys):
@@ -328,6 +365,58 @@ def test_family_writes_member(tmp_path, capsys):
     member = load_state(out)
     expected = ghz_family(GhzParams(3, np.sqrt(0.7), np.sqrt(0.3)), -0.5)
     assert np.allclose(member.mat, expected.mat)
+
+
+def test_proofcheck_and_family_refuse_unnormalised_amplitudes(tmp_path,
+                                                               capsys):
+    # user-given (alpha, beta) are never renormalised, unlike a fit
+    out = str(tmp_path / "member.json")
+    for argv in (["proofcheck"], ["family", "--out", out]):
+        code, report, err = run(capsys, argv + ["--n", "3", "--alpha", "0.8",
+                                                "--beta", "0.6000001"])
+        assert code == 2
+        assert report is None
+        assert "no renormalization" in err
+
+
+# ----------------------------------------------------- one parser per process
+
+def test_later_main_calls_build_no_parser(tmp_path, capsys, monkeypatch):
+    built = {"parsers": 0}
+    init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built["parsers"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    path = write_ghz(tmp_path / "ghz.json")
+    assert run(capsys, ["rdm", path])[0] == 0
+    built["parsers"] = 0
+    assert run(capsys, ["proofcheck", "--n", "3", "--alpha", "0.8",
+                        "--beta", "0.6"])[0] == 0
+    assert run(capsys, ["verdict", path, "--restarts", "2"])[0] == 3
+    assert built["parsers"] == 0
+
+
+def test_reused_parser_leaks_no_state(tmp_path, capsys):
+    p = tmp_path / "haar.json"
+    save_state(str(p), haar_random_state(3, 5))
+    code, report, _ = run(capsys, ["verdict", str(p), "--tol", "1e-6",
+                                   "--seed", "5"])
+    assert (code, report["seed"]) == (0, 5)
+    code, report, _ = run(capsys, ["verdict", str(p)])
+    assert (code, report["seed"]) == (0, 0)
+    assert report["command"] == f"verdict {p}"
+
+    with pytest.raises(SystemExit) as fresh:
+        build_parser().parse_args(["verdict"])
+    usage = capsys.readouterr().err
+    with pytest.raises(SystemExit) as reused:
+        main(["verdict"])
+    assert fresh.value.code == reused.value.code == 2
+    assert capsys.readouterr().err == usage
+    assert run(capsys, ["verdict", str(p)])[0] == 0
 
 
 # ------------------------------------------------------------ work counts

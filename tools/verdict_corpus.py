@@ -1,20 +1,31 @@
-"""Record `rdmkit verdict` on a seeded corpus, and compare two records.
+"""Record `rdmkit verdict`, `proofcheck` and `partner` on a seeded corpus,
+and compare two records.
 
     python3 tools/verdict_corpus.py dump OUT.json [--src DIR] [--nmax N]
                                                   [--seed S]
     python3 tools/verdict_corpus.py compare A.json B.json
 
 `dump` imports rdmkit from DIR (default: the src/ of the checkout this
-file sits in), runs `verdict` in process on every state of the corpus at
-n = 2..nmax and writes one entry per state: the verdict, the exit code,
-the anomaly text, the cross-check's method, k (`kernel_dim`) and
-`null_dim`, `witness_rdm_residual` and `numeric_sup_tmax`.  The corpus is
-a function of the seed alone, drawn with numpy and no rdmkit code, so that
-two trees see the same states: Haar states, locally rotated W and product
-states, rotated GHZ states with |a| > |b| and with |a| = |b|, near-GHZ
-states (rotated GHZ(sqrt 0.7, sqrt 0.3) plus eps times a Haar vector,
-eps log-uniform in [1e-12, 1e-3]), Dicke states, star, complete, ring and
-line graph states, and logical states of the 5-qubit code.
+file sits in), runs the commands in process at n = 2..nmax and writes one
+entry per call.
+
+* `verdict` on every state of the corpus: the verdict, the exit code, the
+  anomaly text, the cross-check's method, k (`kernel_dim`) and
+  `null_dim`, `witness_rdm_residual` and `numeric_sup_tmax`.  The states
+  are Haar states, locally rotated W and product states, rotated GHZ
+  states with |a| > |b| and with |a| = |b|, near-GHZ states (rotated
+  GHZ(sqrt 0.7, sqrt 0.3) plus eps times a Haar vector, eps log-uniform
+  in [1e-12, 1e-3]), Dicke states, star, complete, ring and line graph
+  states, and logical states of the 5-qubit code.
+* `proofcheck` on the fixed (alpha, beta, z) of PROOFCHECK_ARGS, the last
+  of which is not normalised: the exit code and `max_residual`.
+* `partner` with omega the rotated GHZ family member at a real z in
+  (-0.9, 0.9), for |a| > |b| and |a| = |b|, and with omega the maximally
+  mixed state, which shares no RDM with psi: the exit code, `overlap` and
+  `rdm_residual`.
+
+The corpus is a function of the seed alone, drawn with numpy and no rdmkit
+code, so that two trees see the same inputs.
 
 `compare` exits 1 when an entry's verdict, exit code, anomaly, method or
 count (k, `null_dim`) differs, or when the two files hold different
@@ -39,9 +50,14 @@ import numpy as np
 
 FORMAT = "rdmkit-verdict-corpus-v1"
 DISCRETE = ("determined", "exit", "anomaly", "method", "k", "null_dim")
-# the factored witness residual must match a dense one to rounding; the
+# the factored witness residual must match a dense one to rounding, and so
+# must proofcheck's and partner's residuals and the partner's overlap; the
 # step depends on the basis of N that the face check steps along
-BOUNDS = {"witness_rdm_residual": 1e-13, "numeric_sup_tmax": 1e-9}
+BOUNDS = {"witness_rdm_residual": 1e-13, "numeric_sup_tmax": 1e-9,
+          "max_residual": 1e-13, "overlap": 1e-12, "rdm_residual": 1e-13}
+PROOFCHECK_ARGS = (("0.8", "0.6j", "0.3+0.2j"), ("0.6", "-0.8", "1"),
+                   (str(np.sqrt(0.5)), str(np.sqrt(0.5)), "-0.5j"),
+                   ("0.8", "0.8", "0"))
 FIVE_QUBIT_CODE = ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -53,16 +69,27 @@ def _haar(rng, n):
     return v / np.linalg.norm(v)
 
 
-def _rotate(rng, amps):
-    """Apply Haar-random u_1 x ... x u_n to an n-qubit vector."""
-    n = int(np.log2(len(amps)))
-    t = amps.reshape((2,) * n)
-    for j in range(n):
+def _local_unitaries(rng, n):
+    """n Haar-random 2x2 unitaries."""
+    us = []
+    for _ in range(n):
         q, r = np.linalg.qr(rng.standard_normal((2, 2))
                             + 1j * rng.standard_normal((2, 2)))
-        u = q * (np.diag(r) / np.abs(np.diag(r)))
+        us.append(q * (np.diag(r) / np.abs(np.diag(r))))
+    return us
+
+
+def _apply(us, amps):
+    """Apply u_1 x ... x u_n to an n-qubit vector."""
+    t = amps.reshape((2,) * len(us))
+    for j, u in enumerate(us):
         t = np.moveaxis(np.tensordot(u, t, axes=([1], [j])), 0, j)
     return t.reshape(-1)
+
+
+def _rotate(rng, amps):
+    """Apply Haar-random u_1 x ... x u_n to an n-qubit vector."""
+    return _apply(_local_unitaries(rng, int(np.log2(len(amps)))), amps)
 
 
 def _ghz(n, a, b):
@@ -139,14 +166,43 @@ def corpus(seed: int, nmax: int):
                 yield f"code-5-{i}", "code", n, None, _code_state(rng)
 
 
+def partner_inputs(seed: int, nmax: int):
+    """(id, n, psi amplitudes, omega matrix) for every `partner` call.
+
+    psi = a u_0 + b u_1 with u_0, u_1 the rotated |0...0>, |1...1> (the
+    columns of B), and omega = B [[|a|^2, z a b*], [z* a* b, |b|^2]] B^dag,
+    as the benchmark's partner-proof corpus builds them.  The draws come
+    from their own generator, so the verdict corpus does not move."""
+    for n in range(2, nmax + 1):
+        rng = np.random.default_rng([seed, n, 1])
+        for kind, b2 in (("gapped", rng.uniform(0.05, 0.4)), ("equal", 0.5)):
+            a = np.sqrt(1 - b2)
+            b = np.sqrt(b2) * np.exp(2j * np.pi * rng.uniform())
+            us = _local_unitaries(rng, n)
+            basis = np.stack([_apply(us, _ghz(n, 1, 0)),
+                              _apply(us, _ghz(n, 0, 1))], axis=1)
+            off = rng.uniform(-0.9, 0.9) * a * np.conj(b)
+            fam = np.array([[abs(a)**2, off], [np.conj(off), abs(b)**2]])
+            omega = basis @ fam @ basis.conj().T
+            yield (f"partner-{kind}-{n}", n, basis @ np.array([a, b]),
+                   0.5 * (omega + omega.conj().T))
+        yield (f"partner-unrelated-{n}", n, _haar(rng, n),
+               np.eye(2**n, dtype=complex) / 2**n)
+
+
 # -------------------------------------------------------------------- dump
 
-def _entry(cli, path):
+def _run(cli, argv):
+    """Exit code and parsed JSON report ({} when none) of one CLI call."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(io.StringIO()):
-        code = cli.main(["verdict", path])
-    rep = json.loads(out.getvalue()) if out.getvalue().strip() else {}
+        code = cli.main(argv)
+    return code, json.loads(out.getvalue()) if out.getvalue().strip() else {}
+
+
+def _verdict_entry(cli, path):
+    code, rep = _run(cli, ["verdict", path])
     cross = rep.get("cross_check") or {}
     return {"determined": rep.get("determined"), "exit": code,
             "anomaly": rep.get("anomaly"), "method": cross.get("method"),
@@ -167,7 +223,25 @@ def dump(out_path: str, src: str, nmax: int, seed: int) -> int:
             path = os.path.join(tmp, f"{ident}.json")
             cli.save_state(path, rdmkit.PureState(n, amps))
             entries.append(dict(id=ident, family=family, n=n, eps=eps,
-                                **_entry(cli, path)))
+                                **_verdict_entry(cli, path)))
+        for n in range(2, nmax + 1):
+            for i, (alpha, beta, z) in enumerate(PROOFCHECK_ARGS):
+                code, rep = _run(cli, ["proofcheck", f"--n={n}",
+                                       f"--alpha={alpha}", f"--beta={beta}",
+                                       f"--z={z}"])
+                entries.append(dict(id=f"proofcheck-{n}-{i}",
+                                    family="proofcheck", n=n, eps=None,
+                                    exit=code,
+                                    max_residual=rep.get("max_residual")))
+        for ident, n, amps, omega in partner_inputs(seed, nmax):
+            psi_path = os.path.join(tmp, f"{ident}-psi.json")
+            omega_path = os.path.join(tmp, f"{ident}-omega.json")
+            cli.save_state(psi_path, rdmkit.PureState(n, amps))
+            cli.save_state(omega_path, rdmkit.DensityMatrix(n, omega))
+            code, rep = _run(cli, ["partner", psi_path, omega_path])
+            entries.append(dict(id=ident, family="partner", n=n, eps=None,
+                                exit=code, overlap=rep.get("overlap"),
+                                rdm_residual=rep.get("rdm_residual")))
     doc = {"format": FORMAT, "seed": seed, "nmax": nmax,
            "rdmkit": os.path.abspath(os.path.dirname(rdmkit.__file__)),
            "bounds": BOUNDS, "entries": entries}
@@ -192,15 +266,15 @@ def compare(path_a: str, path_b: str) -> int:
     counts = Counter()
     for ident in (i for i in a if i in b):
         for key in DISCRETE:
-            if a[ident][key] != b[ident][key]:
+            if a[ident].get(key) != b[ident].get(key):
                 counts[a[ident]["family"], key] += 1
                 changed.append(ident)
-                print(f"{ident}: {key} {a[ident][key]!r} -> "
-                      f"{b[ident][key]!r}")
+                print(f"{ident}: {key} {a[ident].get(key)!r} -> "
+                      f"{b[ident].get(key)!r}")
     for (family, key), count in sorted(counts.items()):
         print(f"changed: {family} {key} on {count} entries")
     for key, bound in docs[0]["bounds"].items():
-        pairs = [(a[i][key], b[i][key]) for i in a if i in b]
+        pairs = [(a[i].get(key), b[i].get(key)) for i in a if i in b]
         drift = [abs(x - y) for x, y in pairs
                  if x is not None and y is not None]
         missing = sum((x is None) != (y is None) for x, y in pairs)
