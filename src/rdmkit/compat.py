@@ -19,11 +19,11 @@ space N = {0} proves psi determined (`numeric_sup_tmax` 0.0; k = 1 always
 does); otherwise stepping from psi psi^dag along candidate directions in
 N, in G's k x k coordinates, gives an explicit compatible state.  Each
 step is the exact end of the PSD segment (`qstate.psd_segment`, the
-package's one PSD-boundary routine, which `tmax_along`, the search and
-the partner construction share), `numeric_sup_tmax` is the largest step
-found, and `samples_used` counts the directions stepped.  No random
-number is involved, the check never reads the detector's output, and it
-costs O(n 2^n): it works on psi's 2 x 2^(n-1) amplitude matrices.
+package's one PSD-boundary routine, which the search and the partner
+construction share), `numeric_sup_tmax` is the largest step found, and
+`samples_used` counts the directions stepped.  No random number is
+involved, the check never reads the detector's output, and it costs
+O(n 2^n): it works on psi's 2 x 2^(n-1) amplitude matrices.
 
 On a GHZ-type verdict, `witness_rdm_residual` compares psi's RDMs with
 those of the witness family's z = 0 member, in factored form.  Every
@@ -34,7 +34,9 @@ since tr_j |u^><v^| = <v_j|u_j> * (x)_{k != j} |u_k><v_k| and the
 detector returns u_j orthogonal to v_j (see `determinedness`).
 
 `search_max_tmax`, a seeded random-restart search for the largest
-feasible step, is kept as a library function; no verdict calls it.
+feasible step, is kept as a library function and as the tests'
+independent reference, and the benchmark's trace wraps it by name; no
+verdict calls it.
 """
 
 from __future__ import annotations
@@ -113,62 +115,6 @@ def _word_stack(n: int) -> np.ndarray:
         out[i] = w.matrix()
     out.flags.writeable = False
     return out
-
-
-@dataclass(frozen=True)
-class Direction:
-    """Unit-Frobenius-norm Hermitian element of the full-weight span."""
-
-    n: int
-    coeffs: np.ndarray = field(repr=False)
-    matrix: np.ndarray = field(repr=False)
-
-
-def direction_from_coeffs(n: int, coeffs) -> Direction:
-    """Build a unit-norm direction from raw real coefficients."""
-    c = np.asarray(coeffs, dtype=float)
-    if c.shape != (3**n,):
-        raise ValidationError(f"expected {3**n} coefficients")
-    nrm = float(np.linalg.norm(c)) * np.sqrt(2**n)  # words are orthogonal
-    if nrm < 1e-300:
-        raise ValidationError("zero direction")
-    c = c / nrm
-    mat = np.tensordot(c, _word_stack(n), axes=1)
-    return Direction(n, c, mat)
-
-
-def coeffs_of_matrix(n: int, mat: np.ndarray) -> np.ndarray:
-    """Real coefficients of a Hermitian matrix over the full-weight words."""
-    stack = _word_stack(n)
-    return np.real(np.einsum("kij,ji->k", stack, mat)) / 2**n
-
-
-def direction_from_matrix(n: int, mat: np.ndarray) -> Direction:
-    """Project a Hermitian matrix onto the span and normalize.
-
-    Rejects input whose out-of-span component exceeds 1e-8 of its norm.
-    """
-    c = coeffs_of_matrix(n, mat)
-    back = np.tensordot(c, _word_stack(n), axes=1)
-    out_of_span = float(np.linalg.norm(mat - back)) / max(
-        float(np.linalg.norm(mat)), 1e-300)
-    if out_of_span > 1e-8:
-        raise ValidationError(
-            f"matrix is not in the full-weight span: residual {out_of_span:.3e}")
-    return direction_from_coeffs(n, c)
-
-
-def tmax_along(rho: DensityMatrix, d: Direction) -> tuple[float, float]:
-    """(t_minus, t_plus): extent of the PSD segment along one direction.
-
-    Every rho + t*Delta with t in [t_minus, t_plus] keeps rho's RDM tuple
-    (the direction has all single-qubit partial traces zero).  The ends
-    are `qstate.psd_segment`'s exact ones, capped to [-2, 2].
-    """
-    if rho.n != d.n:
-        raise ValidationError("dimension mismatch")
-    t_minus, t_plus = psd_segment(rho.mat, d.matrix)
-    return max(t_minus, -2.0), min(t_plus, 2.0)
 
 
 def _batched_max_boundary(rho: np.ndarray, mats: np.ndarray,

@@ -23,29 +23,18 @@ form above, which does not lean on tr W = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .compat import rank2_given
 from .qstate import (DensityMatrix, EigDecomposition, PureState,
                      ValidationError, hermitian_eig, psd_segment)
-from .rdm import ptr_tuple, rdm_max_distance, require_equal_rdms
+from .rdm import ptr_tuple, rdm_max_distance
 
 
 class TheoremViolation(RuntimeError):
     """Numerics contradict a proved statement; the run must fail loudly."""
-
-
-def mixture_state(psi: PureState, omega: DensityMatrix,
-                  a: float) -> np.ndarray:
-    """(1-a)|psi><psi| + a*omega as a raw Hermitian unit-trace matrix.
-
-    PSD is deliberately not guaranteed: the construction extends a beyond
-    the legitimate density-matrix range.
-    """
-    require_equal_rdms(ptr_tuple(psi.projector()), ptr_tuple(omega))
-    return (1.0 - a) * psi.projector().mat + a * omega.mat
 
 
 def eigen2(z: float, u: complex) -> tuple[float, float]:
@@ -54,38 +43,13 @@ def eigen2(z: float, u: complex) -> tuple[float, float]:
     return 0.5 - s, 0.5 + s
 
 
-@dataclass(frozen=True)
-class TwoLevelRestriction:
-    """The mixture problem restricted to span(phi_1, phi_2) = span(psi, psi_2)."""
-
-    phi1: np.ndarray = field(repr=False)
-    phi2: np.ndarray = field(repr=False)
-    p: float                      # omega eigenvalue on phi1
-    c1: complex                   # psi = c1 phi1 + c2 phi2
-    c2: complex
-    psi2: np.ndarray = field(repr=False)   # orthonormal partner of psi
-    w: np.ndarray = field(repr=False)      # omega in the {psi, psi2} basis
-
-    def restriction(self, a: float) -> np.ndarray:
-        """2x2 mixture matrix in the {psi, psi2} basis."""
-        return (1.0 - a) * np.diag([1.0, 0.0]).astype(complex) + a * self.w
-
-    def low_eigenvalue(self, a: float) -> float:
-        r = self.restriction(a)
-        z = 0.5 * float((r[0, 0] - r[1, 1]).real)
-        return eigen2(z, complex(r[1, 0]))[0]
-
-
-def two_level_restriction(psi: PureState,
-                          omega: DensityMatrix) -> TwoLevelRestriction:
-    return _two_level_restriction(psi, omega, hermitian_eig(omega.mat))
-
-
-def _two_level_restriction(psi: PureState, omega: DensityMatrix,
-                           dec: EigDecomposition) -> TwoLevelRestriction:
+def _two_level_restriction(
+        psi: PureState, omega: DensityMatrix,
+        dec: EigDecomposition) -> tuple[np.ndarray, np.ndarray]:
+    """(psi2, w): {psi, psi2} is an orthonormal basis of omega's range,
+    and w is omega in that basis (the W of the module docstring)."""
     phi1 = dec.eigenvectors[:, -1]
     phi2 = dec.eigenvectors[:, -2]
-    p = float(dec.eigenvalues[-1])
     c1 = complex(np.vdot(phi1, psi.amps))
     c2 = complex(np.vdot(phi2, psi.amps))
     inside = abs(c1) ** 2 + abs(c2) ** 2
@@ -96,8 +60,7 @@ def _two_level_restriction(psi: PureState, omega: DensityMatrix,
     psi2 = np.conj(c2) * phi1 - np.conj(c1) * phi2
     psi2 /= np.linalg.norm(psi2)
     basis = np.stack([psi.amps, psi2], axis=1)
-    w = basis.conj().T @ omega.mat @ basis
-    return TwoLevelRestriction(phi1, phi2, p, c1, c2, psi2, w)
+    return psi2, basis.conj().T @ omega.mat @ basis
 
 
 @dataclass(frozen=True)
@@ -129,19 +92,18 @@ def pure_partner_details(psi: PureState,
     if not rank2_given(psi_rdms, omega, dec):
         raise TheoremViolation(
             f"omega has rank {dec.rank()} > 2 despite matching RDMs")
-    res = _two_level_restriction(psi, omega, dec)
-    w00, w11 = float(res.w[0, 0].real), float(res.w[1, 1].real)
-    det_w = w00 * w11 - abs(complex(res.w[0, 1])) ** 2
+    psi2, w = _two_level_restriction(psi, omega, dec)
+    w00, w11 = float(w[0, 0].real), float(w[1, 1].real)
+    det_w = w00 * w11 - abs(complex(w[0, 1])) ** 2
     if not det_w > 0.0:
         raise ValidationError(f"det W = {det_w:.3e}: omega is numerically "
                               "degenerate on span(psi, psi2)")
     e0 = np.diag([1.0, 0.0])
-    a_star = psd_segment(e0, res.w - e0)[1]  # the nonzero root of det R(a)
-    r = res.restriction(a_star)
-    vals, vecs = np.linalg.eigh(r)
+    a_star = psd_segment(e0, w - e0)[1]  # the nonzero root of det R(a)
+    vals, vecs = np.linalg.eigh((1.0 - a_star) * e0 + a_star * w)
     # take the surviving eigenvector (eigenvalue ~1), not the near-null one
     v = vecs[:, -1]
-    partner_vec = v[0] * psi.amps + v[1] * res.psi2
+    partner_vec = v[0] * psi.amps + v[1] * psi2
     partner_vec /= np.linalg.norm(partner_vec)
     k = int(np.argmax(np.abs(partner_vec)))
     partner_vec = partner_vec * (np.abs(partner_vec[k]) / partner_vec[k])

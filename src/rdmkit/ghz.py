@@ -30,7 +30,8 @@ class GhzParams:
         if self.n < 2:
             raise ValidationError("need n >= 2")
         norm2 = abs(self.a) ** 2 + abs(self.b) ** 2
-        if abs(norm2 - 1.0) > 1e-10:
+        # "not <=" so that a NaN, which fails every comparison, is refused
+        if not abs(norm2 - 1.0) <= 1e-10:
             raise ValidationError(
                 f"|a|^2 + |b|^2 = {norm2!r}, expected 1 (no renormalization)")
         if abs(self.a) <= 1e-10 or abs(self.b) <= 1e-10:

@@ -28,49 +28,6 @@ PAULI = {
 }
 
 
-def bit_at(index: int, j: int, n: int) -> int:
-    """Bit of qubit j (1-based, qubit 1 most significant) in a flat index."""
-    return (index >> (n - j)) & 1
-
-
-@dataclass(frozen=True)
-class MultiIndex:
-    """A multi-index I = (i_1 i_2 ... i_n), each slot in {0, 1}."""
-
-    n: int
-    bits: tuple
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError(f"qubit count must be >= 1, got {self.n}")
-        if len(self.bits) != self.n:
-            raise ValidationError(
-                f"expected {self.n} slots, got {len(self.bits)}")
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValidationError(f"slots must be 0 or 1, got {self.bits}")
-
-    @classmethod
-    def from_flat(cls, index: int, n: int) -> "MultiIndex":
-        return cls(n, tuple(bit_at(index, j, n) for j in range(1, n + 1)))
-
-    def flat(self) -> int:
-        out = 0
-        for b in self.bits:
-            out = (out << 1) | b
-        return out
-
-    def complement(self, j: int) -> "MultiIndex":
-        """I_j: complement slot j (1-based), all other slots unchanged."""
-        if not 1 <= j <= self.n:
-            raise ValidationError(f"slot {j} out of range for n={self.n}")
-        bits = list(self.bits)
-        bits[j - 1] ^= 1
-        return MultiIndex(self.n, tuple(bits))
-
-    def slot(self, j: int) -> int:
-        return self.bits[j - 1]
-
-
 @dataclass(frozen=True)
 class PureState:
     """Normalized amplitude vector c_I over all n-bit multi-indices."""
@@ -179,11 +136,6 @@ def hermitian_eig(m: np.ndarray) -> EigDecomposition:
         raise ValidationError(f"not Hermitian: max asymmetry {asym:.3e}")
     vals, vecs = np.linalg.eigh(m)
     return EigDecomposition(vals, vecs)
-
-
-def numeric_rank(m: np.ndarray, threshold: float = 1e-8) -> int:
-    """Number of eigenvalues of a Hermitian PSD matrix above threshold."""
-    return hermitian_eig(m).rank(threshold)
 
 
 def haar_random_state(n: int, seed: int) -> PureState:

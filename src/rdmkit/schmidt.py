@@ -36,8 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qstate import (DensityMatrix, MultiIndex, PureState, ValidationError,
-                     hermitian_eig)
+from .qstate import DensityMatrix, PureState, ValidationError, hermitian_eig
 from .rdm import ptr_tuple, require_equal_rdms
 
 PRODUCT_Q_TOL = 1e-12  # below this, q1 is treated as exactly zero
@@ -282,43 +281,6 @@ def alpha_basis_amplitudes(psi: PureState, splits: list[SchmidtSplit]) -> np.nda
     return amps.reshape(-1)
 
 
-def main_constraint_residual(env_j: EnvVectors, env_k: EnvVectors,
-                             psi: PureState, index: MultiIndex) -> float:
-    """Residual norm of the main constraint for one multi-index.
-
-    Recomputes the Schmidt splits of the remaining qubits to build the
-    alpha product basis; the splits at j and k are taken from the inputs
-    so the amplitudes match the stored environment vectors.
-    """
-    j, k = env_j.j, env_k.j
-    if j == k:
-        raise ValidationError("need two different qubits")
-    if env_j.env_dim != env_k.env_dim or env_j.n != env_k.n:
-        raise ValidationError("environment vectors from different purifications")
-    splits = []
-    for m in range(1, psi.n + 1):
-        if m == j:
-            splits.append(env_j.split)
-        elif m == k:
-            splits.append(env_k.split)
-        else:
-            splits.append(schmidt_split(psi, m))
-    c = alpha_basis_amplitudes(psi, splits)
-    return _constraint_residual(c, env_j, env_k, index)
-
-
-def _constraint_residual(c: np.ndarray, env_j: EnvVectors,
-                         env_k: EnvVectors, index: MultiIndex) -> float:
-    i = index.flat()
-    ij = index.slot(env_j.j)
-    ik = index.slot(env_k.j)
-    i_j = index.complement(env_j.j).flat()
-    i_k = index.complement(env_k.j).flat()
-    lhs = c[i] * env_j.small[ij, ij] + c[i_j] * env_j.small[1 - ij, ij]
-    rhs = c[i] * env_k.small[ik, ik] + c[i_k] * env_k.small[1 - ik, ik]
-    return float(np.linalg.norm(lhs - rhs))
-
-
 def main_constraint_max_residual(envs: list[EnvVectors],
                                  psi: PureState) -> float:
     """Max main-constraint residual over all multi-indices and qubit pairs.
@@ -345,25 +307,3 @@ def main_constraint_max_residual(envs: list[EnvVectors],
     sides = np.stack(sides)
     a, b = np.triu_indices(n, 1)
     return float(np.max(np.linalg.norm(sides[a] - sides[b], axis=-1)))
-
-
-def product_split_test(psi: PureState, j: int, tol: float = 1e-8) -> bool:
-    """Is psi a product of a qubit-j state and an (n-1)-qubit state?
-
-    Spectral route: q1 of the Schmidt split is <= tol.  Independent
-    cross-check: the sum of squared 2x2 minors of the (qubit j) x (rest)
-    amplitude matrix M equals det(M M^dag) = q0*q1 (Cauchy-Binet), so
-    minors vanish iff the amplitude-ratio condition holds; the 2x2 Gram
-    determinant costs O(2^n).  Disagreement between the two routes beyond
-    10*tol signals numerical breakdown and is rejected.
-    """
-    split = schmidt_split(psi, j)
-    q0, q1 = split.q
-    m = _amplitude_matrix(psi, j)
-    gram = m @ m.conj().T
-    minors_sq = float(gram[0, 0].real * gram[1, 1].real - abs(gram[0, 1]) ** 2)
-    ratio_q1 = minors_sq / max(q0, 1e-300)
-    if abs(ratio_q1 - q1) > 10 * tol:
-        raise ValidationError(
-            f"spectral/ratio disagreement: q1={q1:.3e} vs minors={ratio_q1:.3e}")
-    return q1 <= tol

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import rdmkit
-from rdmkit.cli import build_parser, load_state, main, save_state
+from rdmkit.cli import (DENSE_NMAX, build_parser, load_state, main,
+                        save_state)
 from rdmkit.ghz import GhzParams, ghz_family, make_ghz
 from rdmkit.qstate import (DensityMatrix, PureState, apply_local_unitaries,
                            haar_random_state, random_local_unitaries)
@@ -95,6 +96,20 @@ def test_integer_too_large_for_a_float_is_malformed_data(tmp_path, capsys):
         assert report is None
         assert err.startswith("error: ") and "malformed data" in err
         assert "Traceback" not in err
+
+
+def test_n_that_the_data_cannot_match_is_refused_before_2_to_the_n(
+        tmp_path, capsys):
+    # formatting 2**n for n = 1e8 would take most of a second and exceed
+    # Python's 4300-digit limit for int-to-string conversion
+    for kind, data in (("pure", [[1, 0]]), ("density", [[[1, 0]]])):
+        p = tmp_path / f"{kind}.json"
+        p.write_text(json.dumps({"format": "rdmkit-state-v1", "kind": kind,
+                                 "n": 100000000, "data": data}))
+        code, report, err = run(capsys, ["rdm", str(p)])
+        assert (code, report) == (2, None)
+        assert "n = 100000000 needs 2^100000000" in err
+        assert err.rstrip().endswith("got 1")
 
 
 def test_report_command_is_the_argv_given_to_main(tmp_path, capsys):
@@ -312,6 +327,14 @@ def test_sweep_rejects_large_n(capsys):
     assert "2..6" in err
 
 
+@pytest.mark.parametrize("samples", ["-2", "0"])
+def test_sweep_rejects_a_sample_count_below_1(capsys, samples):
+    code, report, err = run(capsys, ["sweep", "--n", "3",
+                                     "--samples", samples])
+    assert (code, report) == (2, None)
+    assert f"samples must be >= 1, got {samples}" in err
+
+
 # ----------------------------------------------------------------- proofcheck
 
 def test_proofcheck_symmetric_z0(capsys):
@@ -377,6 +400,18 @@ def test_proofcheck_and_family_refuse_unnormalised_amplitudes(tmp_path,
         assert code == 2
         assert report is None
         assert "no renormalization" in err
+
+
+@pytest.mark.parametrize("n", [1, DENSE_NMAX + 1, 40])
+def test_proofcheck_and_family_refuse_n_beyond_the_dense_limit(tmp_path,
+                                                               capsys, n):
+    # both build a 2^n x 2^n family member: 16 TiB at n = 40
+    out = str(tmp_path / "member.json")
+    for argv in (["proofcheck"], ["family", "--out", out]):
+        code, report, err = run(capsys, argv + ["--n", str(n), "--alpha",
+                                                "0.8", "--beta", "0.6"])
+        assert (code, report) == (2, None)
+        assert f"n must be in 2..{DENSE_NMAX}, got {n}" in err
 
 
 # ----------------------------------------------------- one parser per process

@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 
 from rdmkit import compat
-from rdmkit.compat import (determinedness, direction_from_coeffs,
-                           direction_from_matrix, face_check,
-                           fullweight_basis, rank2_check, search_max_tmax,
-                           tmax_along)
+from rdmkit.compat import (determinedness, face_check, fullweight_basis,
+                           rank2_check, search_max_tmax)
 from rdmkit.ghz import GhzCertificate, GhzParams, ghz_family, make_ghz
 from rdmkit.qstate import (DensityMatrix, PureState, ValidationError,
                            apply_local_unitaries, haar_random_state,
-                           numeric_rank, random_local_unitaries)
+                           hermitian_eig, psd_segment,
+                           random_local_unitaries)
 from rdmkit.rdm import (partial_trace_matrix, ptr_tuple, rdm_max_distance,
                         require_equal_rdms)
 
@@ -62,6 +61,22 @@ def oracle_boundary(rho, mat, sign, hi=2.0, iters=80, slack=1e-10):
     return lo
 
 
+def unit(mat):
+    return mat / np.linalg.norm(mat)
+
+
+def random_direction(n, rng):
+    """A unit-norm random real combination of the full-weight words."""
+    words = [w.matrix() for w in fullweight_basis(n).words]
+    return unit(np.tensordot(rng.standard_normal(3**n), words, axes=1))
+
+
+def segment(rho, mat):
+    """psd_segment's ends along mat, capped to [-2, 2] as the oracle is."""
+    t_minus, t_plus = psd_segment(rho, mat)
+    return max(t_minus, -2.0), min(t_plus, 2.0)
+
+
 # ----------------------------------------------------------- fullweight_basis
 
 def test_basis_counts_and_letters():
@@ -94,40 +109,25 @@ def test_basis_words_trace_orthogonal():
             assert abs(np.trace(mats[i] @ mats[j])) <= 1e-12
 
 
-# ------------------------------------------------------------------ Direction
+# ---------------------------------------------- PSD segment along a direction
 
 def test_direction_normalization_and_traceless_marginals():
+    # the premise of every random-direction test below: a real combination
+    # of full-weight words keeps every RDM
     rng = np.random.default_rng(4)
     for n in (2, 3):
         for _ in range(10):
-            d = direction_from_coeffs(n, rng.standard_normal(3**n))
-            assert abs(np.linalg.norm(d.matrix) - 1.0) < 1e-12
+            d = random_direction(n, rng)
+            assert abs(np.linalg.norm(d) - 1.0) < 1e-12
             for j in range(1, n + 1):
-                tr = partial_trace_matrix(d.matrix, n, {j})
+                tr = partial_trace_matrix(d, n, {j})
                 assert np.linalg.norm(tr) <= 1e-12
 
 
-def test_direction_from_matrix_round_trip():
-    rng = np.random.default_rng(5)
-    d = direction_from_coeffs(2, rng.standard_normal(9))
-    d2 = direction_from_matrix(2, 3.7 * d.matrix)
-    assert np.allclose(d2.matrix, d.matrix, atol=1e-12)
-
-
-def test_direction_from_matrix_rejects_out_of_span():
-    # Z (x) I has an identity letter, hence nonzero single-qubit marginals
-    zi = np.kron(np.diag([1.0, -1.0]), np.eye(2))
-    with pytest.raises(ValidationError):
-        direction_from_matrix(2, zi)
-
-
-# ----------------------------------------------------------------- tmax_along
-
 def test_tmax_maximally_mixed_along_zzz():
-    rho = DensityMatrix(3, np.eye(8) / 8)
-    zzz = np.diag([1.0, -1, -1, 1, -1, 1, 1, -1])
-    d = direction_from_matrix(3, zzz)
-    tm, tp = tmax_along(rho, d)
+    rho = np.eye(8) / 8
+    zzz = unit(np.diag([1.0, -1, -1, 1, -1, 1, 1, -1]))
+    tm, tp = segment(rho, zzz)
     # eigenvalues 1/8 +- t/sqrt(8) hit zero at t = sqrt(8)/8
     expected = np.sqrt(8) / 8
     assert abs(tp - expected) < 1e-9
@@ -138,14 +138,13 @@ def test_tmax_ghz_along_offdiagonal_pair():
     psi = make_ghz(3, INV_SQRT2, INV_SQRT2)
     pair = np.zeros((8, 8), dtype=complex)
     pair[0, 7] = pair[7, 0] = INV_SQRT2
-    d = direction_from_matrix(3, pair)
-    tm, tp = tmax_along(psi.projector(), d)
+    tm, tp = segment(psi.projector().mat, pair)
     # moving toward z = -1 is a step of Frobenius size sqrt(2)
     assert abs(tm + np.sqrt(2)) < 1e-9
     assert tp <= 1e-9
     # cross-check both boundaries against the independent oracle
-    assert abs(tp - oracle_boundary(psi.projector().mat, d.matrix, 1)) < 1e-9
-    assert abs(-tm - oracle_boundary(psi.projector().mat, d.matrix, -1)) < 1e-9
+    assert abs(tp - oracle_boundary(psi.projector().mat, pair, 1)) < 1e-9
+    assert abs(-tm - oracle_boundary(psi.projector().mat, pair, -1)) < 1e-9
 
 
 def test_tmax_ghz_along_xxx_matches_oracle():
@@ -155,10 +154,10 @@ def test_tmax_ghz_along_xxx_matches_oracle():
     xxx = np.zeros((8, 8))
     for x in range(8):
         xxx[x, 7 - x] = 1.0
-    d = direction_from_matrix(3, xxx)
-    tm, tp = tmax_along(psi.projector(), d)
-    assert abs(tp - oracle_boundary(psi.projector().mat, d.matrix, 1)) < 1e-9
-    assert abs(-tm - oracle_boundary(psi.projector().mat, d.matrix, -1)) < 1e-9
+    xxx = unit(xxx)
+    tm, tp = segment(psi.projector().mat, xxx)
+    assert abs(tp - oracle_boundary(psi.projector().mat, xxx, 1)) < 1e-9
+    assert abs(-tm - oracle_boundary(psi.projector().mat, xxx, -1)) < 1e-9
     assert tp <= 1e-8 and tm >= -1e-8
 
 
@@ -177,18 +176,16 @@ def test_tmax_matches_oracle_on_random_pairs(n, kind):
             mat = p * mat + (1 - p) * phi.projector().mat
         elif kind == "full":
             mat = 0.5 * mat + 0.5 * np.eye(2**n) / 2**n
-        d = direction_from_coeffs(n, rng.standard_normal(3**n))
-        tm, tp = tmax_along(DensityMatrix(n, mat), d)
-        assert abs(tp - oracle_boundary(mat, d.matrix, 1, slack=1e-14)) < 1e-9
-        assert abs(-tm - oracle_boundary(mat, d.matrix, -1,
-                                         slack=1e-14)) < 1e-9
+        d = random_direction(n, rng)
+        tm, tp = segment(mat, d)
+        assert abs(tp - oracle_boundary(mat, d, 1, slack=1e-14)) < 1e-9
+        assert abs(-tm - oracle_boundary(mat, d, -1, slack=1e-14)) < 1e-9
 
 
 def test_tmax_haar_projector_pinned_at_zero():
-    rho = haar_random_state(3, 7).projector()
+    rho = haar_random_state(3, 7).projector().mat
     for w in fullweight_basis(3).words[::5]:
-        d = direction_from_matrix(3, w.matrix())
-        tm, tp = tmax_along(rho, d)
+        tm, tp = segment(rho, unit(w.matrix()))
         assert tp <= 1e-8 and tm >= -1e-8
 
 
@@ -380,8 +377,8 @@ def test_certified_bound_holds_along_sampled_directions():
     for psi in list(determined_corpus())[:5]:
         assert face_check(psi).null_dim == 0
         for _ in range(5):
-            d = direction_from_coeffs(psi.n, rng.standard_normal(3**psi.n))
-            tm, tp = tmax_along(psi.projector(), d)
+            tm, tp = segment(psi.projector().mat,
+                             random_direction(psi.n, rng))
             assert max(tp, -tm) <= 1e-8
 
 
@@ -447,8 +444,7 @@ def test_face_check_flags_a_misclassified_rotated_ghz(monkeypatch, n, seed):
 def test_verdict_never_runs_the_search(monkeypatch):
     # nor the full-weight word stack and the 2^n x 2^n segment it feeds:
     # the face check steps in the face's own k x k coordinates
-    for name in ("search_max_tmax", "_word_stack", "direction_from_matrix",
-                 "tmax_along"):
+    for name in ("search_max_tmax", "_word_stack"):
         def fail(*args, name=name, **kwargs):
             raise AssertionError(f"{name} called")
 
@@ -615,7 +611,7 @@ def test_face_check_returns_a_compatible_state():
         if psi.n > 2:
             # at k = 2 the far end of the segment is the paper's pure
             # partner: rank one and distinct from psi
-            assert numeric_rank(omega.mat) == 1
+            assert hermitian_eig(omega.mat).rank() == 1
             partner = np.linalg.eigh(omega.mat)[1][:, -1]
             assert abs(np.vdot(psi.amps, partner)) < 1 - 1e-8
 
@@ -630,12 +626,12 @@ def test_steps_inside_the_segment_preserve_rdms():
         psi = haar_random_state(n, int(rng.integers(1 << 30)))
         mix = 0.6 * np.eye(2**n) / 2**n + 0.4 * psi.projector().mat
         rho = DensityMatrix(n, mix)
-        d = direction_from_coeffs(n, rng.standard_normal(3**n))
-        tm, tp = tmax_along(rho, d)
+        d = random_direction(n, rng)
+        tm, tp = segment(rho.mat, d)
         if tp - tm < 1e-6:
             continue
         t = rng.uniform(tm, tp)
-        shifted = DensityMatrix(n, rho.mat + t * d.matrix)
+        shifted = DensityMatrix(n, rho.mat + t * d)
         assert rdm_max_distance(ptr_tuple(shifted), ptr_tuple(rho)) <= 1e-10
         count += 1
 

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from rdmkit import compat
-from rdmkit.construct import (TheoremViolation, eigen2, mixture_state,
-                              pure_partner, pure_partner_details,
-                              two_level_restriction)
+from rdmkit.construct import (TheoremViolation, _two_level_restriction,
+                              eigen2, pure_partner, pure_partner_details)
 from rdmkit.ghz import GhzParams, ghz_family, make_ghz
 from rdmkit.qstate import (DensityMatrix, ValidationError, haar_random_state,
                            hermitian_eig)
-from rdmkit.rdm import ptr_tuple, rdm_max_distance
+from rdmkit.rdm import partial_trace_matrix, ptr_tuple, rdm_max_distance
 
 INV_SQRT2 = 1 / np.sqrt(2)
 
@@ -21,17 +20,27 @@ def ghz_pair(n, a, b, z):
     return psi, omega
 
 
-# -------------------------------------------------------------- mixture_state
+def mixture(psi, omega, a):
+    """(1-a)|psi><psi| + a*omega, PSD or not."""
+    return (1.0 - a) * psi.projector().mat + a * omega.mat
 
-def test_mixture_endpoints():
-    psi, omega = ghz_pair(3, INV_SQRT2, INV_SQRT2, 0.0)
-    assert np.allclose(mixture_state(psi, omega, 0.0), psi.projector().mat)
-    assert np.allclose(mixture_state(psi, omega, 1.0), omega.mat)
 
+def restriction_w(psi, omega):
+    """W, omega in the {psi, psi2} basis the construction uses."""
+    return _two_level_restriction(psi, omega, hermitian_eig(omega.mat))[1]
+
+
+def low_eigenvalue(w, a):
+    """The low eigenvalue of R(a) = (1-a) diag(1, 0) + a W, by eigen2."""
+    r = (1.0 - a) * np.diag([1.0, 0.0]) + a * w
+    return eigen2(0.5 * float((r[0, 0] - r[1, 1]).real), complex(r[1, 0]))[0]
+
+
+# ------------------------------------------------------------ the mixture line
 
 def test_mixture_at_a2_reaches_the_partner():
     psi, omega = ghz_pair(3, INV_SQRT2, INV_SQRT2, 0.0)
-    m = mixture_state(psi, omega, 2.0)
+    m = mixture(psi, omega, 2.0)
     partner = make_ghz(3, INV_SQRT2, -INV_SQRT2).projector()
     assert np.linalg.norm(m - partner.mat) <= 1e-12
     assert abs(np.linalg.eigvalsh(m)[0]) <= 1e-12
@@ -39,22 +48,14 @@ def test_mixture_at_a2_reaches_the_partner():
 
 def test_mixture_keeps_rdms_even_outside_psd_range():
     psi, omega = ghz_pair(3, np.sqrt(0.7), np.sqrt(0.3), 0.2)
-    base = ptr_tuple(psi.projector())
+    parts = ptr_tuple(psi.projector()).parts
     for a in (-1.0, 0.5, 3.0):
-        m = mixture_state(psi, omega, a)
-        parts = ptr_tuple(DensityMatrix(3, psi.projector().mat)).parts
+        m = mixture(psi, omega, a)
         # compare marginals directly on the raw matrix
-        from rdmkit.rdm import partial_trace_matrix
         for j in range(1, 4):
             d = np.linalg.norm(partial_trace_matrix(m, 3, {j})
                                - parts[j - 1].mat)
             assert d <= 1e-9
-
-
-def test_mixture_rejects_rdm_mismatch():
-    psi = make_ghz(3, INV_SQRT2, INV_SQRT2)
-    with pytest.raises(ValidationError):
-        mixture_state(psi, DensityMatrix(3, np.eye(8) / 8), 0.5)
 
 
 # --------------------------------------------------------------------- eigen2
@@ -83,18 +84,17 @@ def test_eigen2_matches_dense_solver():
 
 def test_restriction_basis_and_weights():
     psi, omega = ghz_pair(3, np.sqrt(0.8), np.sqrt(0.2), 0.4)
-    res = two_level_restriction(psi, omega)
-    assert abs(abs(res.c1) ** 2 + abs(res.c2) ** 2 - 1) <= 1e-9
-    assert abs(np.vdot(psi.amps, res.psi2)) <= 1e-10
+    psi2, w = _two_level_restriction(psi, omega, hermitian_eig(omega.mat))
+    assert abs(np.vdot(psi.amps, psi2)) <= 1e-10
     # low eigenvalue is positive at a=1 (omega is a legitimate mixture)
-    assert res.low_eigenvalue(1.0) > 0
+    assert low_eigenvalue(w, 1.0) > 0
 
 
 def test_restriction_rejects_outside_span():
     psi = haar_random_state(3, 3)
     omega = ghz_family(GhzParams(3, INV_SQRT2, INV_SQRT2), 0.0)
     with pytest.raises(TheoremViolation):
-        two_level_restriction(psi, omega)
+        restriction_w(psi, omega)
 
 
 # --------------------------------------------------------------- pure_partner
@@ -133,9 +133,9 @@ def test_partner_z_half_lands_on_disk_boundary():
 def test_partner_low_eigenvalue_crossing():
     psi, omega = ghz_pair(3, np.sqrt(0.6), np.sqrt(0.4), 0.3 + 0.2j)
     res = pure_partner_details(psi, omega)
-    restr = two_level_restriction(psi, omega)
-    assert restr.low_eigenvalue(1.0) > 0
-    assert abs(restr.low_eigenvalue(res.a_star)) <= 1e-10
+    w = restriction_w(psi, omega)
+    assert low_eigenvalue(w, 1.0) > 0
+    assert abs(low_eigenvalue(w, res.a_star)) <= 1e-10
 
 
 def test_partner_closed_form_roots_complex_phase():
@@ -143,11 +143,10 @@ def test_partner_closed_form_roots_complex_phase():
     psi, omega = ghz_pair(4, np.sqrt(0.35), np.sqrt(0.65) * np.exp(0.9j),
                           0.6 * np.exp(-2.1j))
     res = pure_partner_details(psi, omega)
-    restr = two_level_restriction(psi, omega)
+    w = restriction_w(psi, omega)
     assert res.a_minus == 0.0 and np.copysign(1.0, res.a_minus) == 1.0
     assert res.a_star > 1.0
-    assert abs(restr.low_eigenvalue(res.a_star)) <= 1e-10
-    w = restr.w
+    assert abs(low_eigenvalue(w, res.a_star)) <= 1e-10
     expected = w[1, 1].real / (w[1, 1].real ** 2 + abs(w[0, 1]) ** 2)
     assert abs(res.a_star - expected) <= 1e-12 * expected
 

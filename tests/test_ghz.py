@@ -35,6 +35,13 @@ def test_make_ghz_rejects_unnormalized():
         make_ghz(3, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("a, b", [(np.nan, 0.6), (0.8, np.nan),
+                                  (np.inf, 0.6), (0.8, complex(0.6, np.nan))])
+def test_ghz_params_reject_non_finite_amplitudes(a, b):
+    with pytest.raises(ValidationError, match="expected 1"):
+        GhzParams(3, a, b)
+
+
 def test_make_ghz_complex_amplitudes():
     psi = make_ghz(4, np.sqrt(0.8), np.sqrt(0.2) * 1j)
     assert abs(np.linalg.norm(psi.amps) - 1) < 1e-12

@@ -1,51 +1,17 @@
-"""Tests for core state types, multi-index arithmetic, and eigensolving."""
+"""Tests for core state types, eigensolving and the PSD segment."""
 
 import numpy as np
 import pytest
 
-from rdmkit.qstate import (DensityMatrix, MultiIndex, PauliWord, PureState,
+from rdmkit.qstate import (DensityMatrix, PauliWord, PureState,
                            ValidationError, apply_local_unitaries,
-                           haar_random_state, hermitian_eig, numeric_rank,
-                           psd_segment, random_local_unitaries)
+                           haar_random_state, hermitian_eig, psd_segment,
+                           random_local_unitaries)
 
 
 def random_hermitian(rng, dim):
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return (a + a.conj().T) / 2
-
-
-# ---------------------------------------------------------------- MultiIndex
-
-def test_multiindex_roundtrip_flat():
-    for n in range(1, 5):
-        for k in range(2**n):
-            mi = MultiIndex.from_flat(k, n)
-            assert mi.flat() == k
-            assert len(mi.bits) == n
-
-
-def test_multiindex_qubit1_is_most_significant():
-    mi = MultiIndex.from_flat(0b100, 3)
-    assert mi.bits == (1, 0, 0)
-    assert mi.slot(1) == 1
-    assert mi.slot(3) == 0
-
-
-def test_multiindex_complement_involution_exhaustive():
-    # complementing slot j twice returns the original, all n <= 6
-    for n in range(1, 7):
-        for k in range(2**n):
-            mi = MultiIndex.from_flat(k, n)
-            for j in range(1, n + 1):
-                assert mi.complement(j).complement(j) == mi
-                assert mi.complement(j).slot(j) == 1 - mi.slot(j)
-
-
-def test_multiindex_bad_bits_rejected():
-    with pytest.raises(ValidationError):
-        MultiIndex(2, (0, 2))
-    with pytest.raises(ValidationError):
-        MultiIndex(3, (0, 1))
 
 
 # ----------------------------------------------------------------- PureState
@@ -154,32 +120,33 @@ def test_hermitian_eig_random_reconstruction():
         assert np.all(np.diff(dec.eigenvalues) >= -1e-14)
 
 
-# --------------------------------------------------------------- numeric_rank
+# ------------------------------------------------------ EigDecomposition.rank
 
 def test_numeric_rank_examples():
     proj = np.zeros((2, 2))
     proj[0, 0] = 1.0
-    assert numeric_rank(proj) == 1
-    assert numeric_rank(np.eye(8) / 8) == 8
+    assert hermitian_eig(proj).rank() == 1
+    assert hermitian_eig(np.eye(8) / 8).rank() == 8
 
 
 def test_numeric_rank_monotone_in_threshold():
     rng = np.random.default_rng(9)
     m = rng.standard_normal((6, 6))
     m = m @ m.T  # PSD
-    ranks = [numeric_rank(m, t) for t in (1e-10, 1e-6, 1e-2, 1.0, 100.0)]
+    dec = hermitian_eig(m)
+    ranks = [dec.rank(t) for t in (1e-10, 1e-6, 1e-2, 1.0, 100.0)]
     assert ranks == sorted(ranks, reverse=True)
 
 
 def test_numeric_rank_of_pure_projector_is_one():
     for seed in range(5):
         psi = haar_random_state(3, seed)
-        assert numeric_rank(psi.projector().mat) == 1
+        assert hermitian_eig(psi.projector().mat).rank() == 1
 
 
 def test_numeric_rank_rejects_negative_matrix():
     with pytest.raises(ValidationError):
-        numeric_rank(np.diag([1.0, -0.5]))
+        hermitian_eig(np.diag([1.0, -0.5])).rank()
 
 
 # --------------------------------------------------------- random generators

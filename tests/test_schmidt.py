@@ -1,6 +1,7 @@
 """Tests for Schmidt splits, purifications, environment vectors, and the
 cross-qubit consistency constraint."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -8,15 +9,14 @@ import pytest
 
 from rdmkit import schmidt
 from rdmkit.ghz import GhzParams, detect_ghz_type, ghz_family, make_ghz
-from rdmkit.qstate import (DensityMatrix, MultiIndex, PureState,
-                           ValidationError, apply_local_unitaries,
-                           haar_random_state, random_local_unitaries)
+from rdmkit.qstate import (DensityMatrix, PureState, ValidationError,
+                           apply_local_unitaries, haar_random_state,
+                           random_local_unitaries)
 from rdmkit.rdm import partial_trace_matrix
-from rdmkit.schmidt import (Purification, extract_env_vectors,
-                            extract_env_vectors_all,
-                            main_constraint_max_residual,
-                            main_constraint_residual, product_split_test,
-                            purify, schmidt_split)
+from rdmkit.schmidt import (Purification, alpha_basis_amplitudes,
+                            extract_env_vectors, extract_env_vectors_all,
+                            main_constraint_max_residual, purify,
+                            schmidt_split)
 
 BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 W3 = np.zeros(8, dtype=complex)
@@ -276,13 +276,31 @@ def test_env_vectors_reject_product_split():
 
 # ------------------------------------------------------------ main constraint
 
+def flat_index(bits):
+    """Flat index of a multi-index, qubit 1 the most significant bit."""
+    return sum(b << (len(bits) - 1 - m) for m, b in enumerate(bits))
+
+
 def per_index_max_residual(envs, psi):
-    """The main constraint one multi-index and one qubit pair at a time."""
+    """The main constraint one multi-index and one qubit pair at a time.
+
+    For I = (i_1 ... i_n) and I_j, I with slot j flipped, qubit j's side
+    is c_I e^j_{i_j i_j} + c_{I_j} e^j_{i_j^c i_j}.
+    """
     n = psi.n
-    return max(main_constraint_residual(envs[a], envs[b], psi,
-                                        MultiIndex.from_flat(flat, n))
+    c = alpha_basis_amplitudes(psi, [env.split for env in envs])
+
+    def side(bits, env):
+        i = bits[env.j - 1]
+        flipped = list(bits)
+        flipped[env.j - 1] = 1 - i
+        return (c[flat_index(bits)] * env.small[i, i]
+                + c[flat_index(flipped)] * env.small[1 - i, i])
+
+    return max(float(np.linalg.norm(side(bits, envs[a])
+                                     - side(bits, envs[b])))
                for a in range(n) for b in range(a + 1, n)
-               for flat in range(2**n))
+               for bits in itertools.product((0, 1), repeat=n))
 
 
 def test_main_constraint_on_compatible_purification():
@@ -290,12 +308,7 @@ def test_main_constraint_on_compatible_purification():
     psi = make_ghz(3, np.sqrt(0.8), np.sqrt(0.2))
     pur = purify(ghz_family(params, 0.5))
     envs = [extract_env_vectors(pur, psi, j) for j in range(1, 4)]
-    for i in range(8):
-        for j in range(3):
-            for k in range(j + 1, 3):
-                r = main_constraint_residual(envs[j], envs[k], psi,
-                                             MultiIndex.from_flat(i, 3))
-                assert r <= 1e-9, (i, j, k, r)
+    assert per_index_max_residual(envs, psi) <= 1e-9
 
 
 def test_main_constraint_pure_omega_tight():
@@ -303,14 +316,6 @@ def test_main_constraint_pure_omega_tight():
     pur = pure_purification(psi)
     envs = [extract_env_vectors(pur, psi, j) for j in range(1, 4)]
     assert main_constraint_max_residual(envs, psi) <= 1e-12
-
-
-def test_main_constraint_rejects_equal_qubits():
-    psi = haar_random_state(3, 8)
-    pur = pure_purification(psi)
-    env = extract_env_vectors(pur, psi, 1)
-    with pytest.raises(ValidationError):
-        main_constraint_residual(env, env, psi, MultiIndex.from_flat(0, 3))
 
 
 def test_main_constraint_detects_incompatible_purification(monkeypatch):
@@ -341,13 +346,17 @@ def test_main_constraint_max_matches_per_index_loop(n):
         assert abs(fast - per_index_max_residual(envs, psi)) <= 1e-14, z
 
 
-# ---------------------------------------------------------- product_split_test
+# ------------------------------------------------------------- product splits
+
+def q1(psi):
+    return schmidt_split(psi, 1).q[1]
+
 
 def test_product_split_examples():
     amps = np.kron(np.array([1, 0], dtype=complex), BELL)
-    assert product_split_test(PureState(3, amps), 1)
-    assert not product_split_test(make_ghz(3, 1 / np.sqrt(2), 1 / np.sqrt(2)), 1)
-    assert not product_split_test(PureState(3, W3), 1)
+    assert q1(PureState(3, amps)) <= 1e-8
+    assert q1(make_ghz(3, 1 / np.sqrt(2), 1 / np.sqrt(2))) > 1e-8
+    assert q1(PureState(3, W3)) > 1e-8
 
 
 def test_product_split_w_state_q1():
@@ -356,6 +365,13 @@ def test_product_split_w_state_q1():
 
 
 def test_product_split_agrees_with_ratio_condition():
+    # the 2x2 minors of the (qubit 1) x (rest) amplitude matrix M vanish
+    # iff psi is a product there, and the sum of their squares is
+    # det(M M^dag) = q0 q1 (Cauchy-Binet)
+    def minors(psi):
+        m = psi.amps.reshape(2, -1)
+        return float(np.linalg.det(m @ m.conj().T).real)
+
     rng = np.random.default_rng(21)
     for trial in range(100):
         # product state: single qubit (x) random 2-qubit state
@@ -364,10 +380,14 @@ def test_product_split_agrees_with_ratio_condition():
         rest = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         rest /= np.linalg.norm(rest)
         psi = PureState(3, np.kron(one, rest))
-        assert product_split_test(psi, 1)
+        q = schmidt_split(psi, 1).q
+        assert q[1] <= 1e-8
+        assert abs(minors(psi) - q[0] * q[1]) <= 1e-12
     for trial in range(100):
         psi = haar_random_state(3, 4000 + trial)
-        assert not product_split_test(psi, 1)
+        q = schmidt_split(psi, 1).q
+        assert q[1] > 1e-8
+        assert abs(minors(psi) - q[0] * q[1]) <= 1e-12
 
 
 # ------------------------------------------------------- beyond the verdict's n
@@ -394,8 +414,8 @@ def test_detect_and_product_split_at_n14():
     for name in ("haar", "product"):
         cert = detect_ghz_type(states[name])
         assert not cert.is_ghz and not cert.inconclusive, name
-    assert product_split_test(states["product"], 1)
-    assert not product_split_test(states["gapped"], 1)
+    assert q1(states["product"]) <= 1e-8
+    assert q1(states["gapped"]) > 1e-8
 
 
 @pytest.mark.parametrize("name", sorted(SCALE_STATES))
