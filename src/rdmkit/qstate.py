@@ -52,9 +52,6 @@ class PureState:
     def projector(self) -> "DensityMatrix":
         return DensityMatrix(self.n, np.outer(self.amps, self.amps.conj()))
 
-    def overlap(self, other: "PureState") -> complex:
-        return complex(np.vdot(self.amps, other.amps))
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -96,10 +93,6 @@ class PauliWord:
     @property
     def n(self) -> int:
         return len(self.letters)
-
-    @property
-    def weight(self) -> int:
-        return sum(c != "I" for c in self.letters)
 
     def matrix(self) -> np.ndarray:
         m = PAULI[self.letters[0]]

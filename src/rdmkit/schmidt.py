@@ -87,14 +87,6 @@ class SchmidtSplit:
         """2x2 unitary with columns (alpha_0, alpha_1)."""
         return np.stack([self.alpha(0), self.alpha(1)], axis=1)
 
-    def reconstruction_residual(self, psi: PureState) -> float:
-        """||sum_i sqrt(q_i) alpha_i chi_i^T - M||_F over the defined rows."""
-        m = _amplitude_matrix(psi, self.j)
-        rows = 1 if self.is_product else 2
-        for i in range(rows):
-            m = m - np.sqrt(self.q[i]) * np.outer(self.alpha(i), self.chi[i])
-        return float(np.linalg.norm(m))
-
 
 def schmidt_split(psi: PureState, j: int) -> SchmidtSplit:
     """Schmidt-decompose psi across qubit j (1-based).
@@ -192,9 +184,6 @@ class EnvVectors:
     big_e: np.ndarray = field(repr=False)       # (2, 2, env_dim)
     small: np.ndarray = field(repr=False)       # (2, 2, env_dim)
     omega_split: np.ndarray = field(repr=False)  # (2, 2^{n-1} * env_dim)
-
-    def e(self, i: int, r: int) -> np.ndarray:
-        return self.small[i, r]
 
     def orthonormality_residuals(self) -> dict:
         """Residuals of the four orthonormality/consistency relations."""

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from rdmkit import ghz
+from rdmkit.compat import determinedness
 from rdmkit.ghz import (GhzParams, detect_ghz_type, ghz_family, make_ghz)
 from rdmkit.qstate import (PureState, ValidationError, apply_local_unitaries,
                            haar_random_state, random_local_unitaries)
@@ -169,6 +170,28 @@ def test_detect_degenerate_non_ghz_is_a_clean_no(n):
         cert = detect_ghz_type(PureState(n, chi.reshape(-1) / np.sqrt(2)))
         assert "min_nonproductness" in cert.diagnostics
         assert not cert.is_ghz and not cert.inconclusive
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_near_equal_ghz_is_never_inconclusive(n):
+    # rotated GHZ(sqrt 1/2, sqrt 1/2 e^{i phi}) + eps Haar, normalised: the
+    # degenerate branch decides by the reassembly residual alone, so each
+    # state is a clean "not GHZ", and the verdict is determined, no anomaly
+    rng = np.random.default_rng(2600 + n)
+    for i, eps in enumerate((1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 3e-2)):
+        for s in range(5):
+            seed = 1000 * n + 10 * i + s
+            phase = np.exp(2j * np.pi * rng.uniform())
+            amps = (make_ghz(n, INV_SQRT2, INV_SQRT2 * phase).amps
+                    + eps * haar_random_state(n, seed).amps)
+            psi = apply_local_unitaries(
+                PureState(n, amps / np.linalg.norm(amps)),
+                random_local_unitaries(n, seed))
+            cert = detect_ghz_type(psi)
+            assert not cert.is_ghz and not cert.inconclusive, (eps, s)
+            verdict = determinedness(psi)
+            assert verdict.determined is True, (eps, s)
+            assert verdict.anomaly is None, (eps, s, verdict.anomaly)
 
 
 def test_minor_gram_is_half_the_nonproductness():

@@ -55,7 +55,11 @@ def test_split_reconstruction_on_haar_states():
             for j in range(1, n + 1):
                 s = schmidt_split(psi, j)
                 assert abs(sum(s.q) - 1.0) < 1e-10
-                assert s.reconstruction_residual(psi) <= 1e-9
+                # psi's amplitude matrix with qubit j as the row index
+                m = np.moveaxis(psi.amps.reshape((2,) * n), j - 1, 0)
+                fit = sum(np.sqrt(s.q[i]) * np.outer(s.alpha(i), s.chi[i])
+                          for i in range(2))
+                assert np.linalg.norm(m.reshape(2, -1) - fit) <= 1e-9
 
 
 def test_split_phase_convention():
@@ -204,10 +208,10 @@ def test_env_vectors_pure_omega():
         env = extract_env_vectors(pur, psi, j)
         # single environment dimension: cross vectors vanish, diagonal ones
         # are unit
-        assert np.linalg.norm(env.e(0, 1)) <= 1e-12
-        assert np.linalg.norm(env.e(1, 0)) <= 1e-12
-        assert abs(np.vdot(env.e(0, 0), env.e(0, 0)) - 1) < 1e-10
-        assert abs(np.vdot(env.e(1, 1), env.e(1, 1)) - 1) < 1e-10
+        assert np.linalg.norm(env.small[0, 1]) <= 1e-12
+        assert np.linalg.norm(env.small[1, 0]) <= 1e-12
+        assert abs(np.vdot(env.small[0, 0], env.small[0, 0]) - 1) < 1e-10
+        assert abs(np.vdot(env.small[1, 1], env.small[1, 1]) - 1) < 1e-10
 
 
 def test_env_vectors_orthonormality_relations():
@@ -229,8 +233,8 @@ def test_env_vectors_cross_vanishing_pairs():
     pur = purify(ghz_family(params, 0.0))
     for j in range(1, 5):
         env = extract_env_vectors(pur, psi, j)
-        if np.linalg.norm(env.e(0, 1)) <= 1e-10:
-            assert np.linalg.norm(env.e(1, 0)) <= 1e-8
+        if np.linalg.norm(env.small[0, 1]) <= 1e-10:
+            assert np.linalg.norm(env.small[1, 0]) <= 1e-8
 
 
 def test_env_vectors_reject_rdm_mismatch():

@@ -23,7 +23,7 @@ def test_a_record_compares_equal_to_itself(tmp_path, capsys):
     entries = json.loads(out.read_text())["entries"]
     assert {e["family"] for e in entries} >= {
         "haar", "w", "product", "ghz-gapped", "ghz-equal", "near-ghz",
-        "dicke", "graph", "proofcheck", "partner"}
+        "near-ghz-equal", "dicke", "graph", "proofcheck", "partner"}
     assert tool.main(["compare", str(out), str(out)]) == 0
     assert "0 of" in capsys.readouterr().out
     first = {}

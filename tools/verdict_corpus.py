@@ -15,7 +15,10 @@ entry per call.
   are Haar states, locally rotated W and product states, rotated GHZ
   states with |a| > |b| and with |a| = |b|, near-GHZ states (rotated
   GHZ(sqrt 0.7, sqrt 0.3) plus eps times a Haar vector, eps log-uniform
-  in [1e-12, 1e-3]), Dicke states, star, complete, ring and line graph
+  in [1e-12, 1e-3]), near-equal GHZ states (rotated GHZ(sqrt 0.5,
+  sqrt 0.5 phase) plus eps times a Haar vector, eps log-uniform in
+  [1e-6, 3e-2], drawn from their own generator so that the entries
+  above do not move), Dicke states, star, complete, ring and line graph
   states, and logical states of the 5-qubit code.
 * `proofcheck` on the fixed (alpha, beta, z) of PROOFCHECK_ARGS, the last
   of which is not normalised: the exit code and `max_residual`.
@@ -164,6 +167,14 @@ def corpus(seed: int, nmax: int):
         if n == 5:
             for i in range(2):
                 yield f"code-5-{i}", "code", n, None, _code_state(rng)
+        near = np.random.default_rng([seed, n, 2])
+        for i in range(4):
+            eps = float(10 ** near.uniform(-6, np.log10(3e-2)))
+            phase = np.exp(2j * np.pi * near.uniform())
+            v = (_ghz(n, np.sqrt(0.5), np.sqrt(0.5) * phase)
+                 + eps * _haar(near, n))
+            yield (f"near-ghz-equal-{n}-{i}", "near-ghz-equal", n, eps,
+                   _rotate(near, v / np.linalg.norm(v)))
 
 
 def partner_inputs(seed: int, nmax: int):
