@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__, compat, construct, ghz, qstate, schmidt
 from .qstate import DensityMatrix, PureState, ValidationError
-from .rdm import partial_trace_matrix, ptr_tuple
+from .rdm import ptr_tuple, rdm_distances
 
 FORMAT_TAG = "rdmkit-state-v1"
 ORDERING_NOTE = "qubit 1 is the most significant bit of the flat index"
@@ -43,7 +43,8 @@ class CliError(Exception):
 
 
 def _pairs(arr: np.ndarray):
-    return [[float(x.real), float(x.imag)] for x in arr]
+    """arr's entries as [re, im] lists, nested as arr's axes are."""
+    return np.stack([arr.real, arr.imag], -1).tolist()
 
 
 def save_state(path: str, state) -> None:
@@ -53,7 +54,7 @@ def save_state(path: str, state) -> None:
     elif isinstance(state, DensityMatrix):
         doc = {"format": FORMAT_TAG, "kind": "density", "n": state.n,
                "ordering": ORDERING_NOTE,
-               "data": [_pairs(row) for row in state.mat]}
+               "data": _pairs(state.mat)}
     else:
         raise TypeError(type(state))
     with open(path, "w") as fh:
@@ -143,7 +144,7 @@ def cmd_rdm(args) -> int:
             n=rho.n,
             consistency_residual=tup.consistency_residual() if rho.n >= 3 else 0.0,
             parts=[{"traced_qubit": j + 1,
-                    "matrix": [_pairs(row) for row in p.mat]}
+                    "matrix": _pairs(p.mat)}
                    for j, p in enumerate(tup.parts)])
     return EXIT_OK
 
@@ -266,9 +267,11 @@ def cmd_sweep(args) -> int:
         if is_ghz_sample and verdict.witness_family is not None:
             z = 0.8 * np.exp(2j * np.pi * rng.uniform())
             omega = verdict.witness_family.member(z)
-            if not compat.rank2_check(psi, omega):
+            # one decomposition of omega serves the rank test and purify
+            dec = qstate.hermitian_eig(omega.mat)
+            if not compat.rank2_given(psi, omega, dec):
                 counts["rank2_failures"] += 1
-            pur = schmidt.purify(omega)
+            pur = schmidt._purify_given(omega, dec)
             envs = schmidt.extract_env_vectors_all(pur, psi)
             res = schmidt.main_constraint_max_residual(envs, psi)
             worst_constraint = max(worst_constraint, res)
@@ -320,12 +323,8 @@ def cmd_family(args) -> int:
     except ValidationError as exc:
         raise CliError(str(exc))
     save_state(args.out, member)
-    amps = ghz.make_ghz(args.n, a, b).amps
-    ref = np.outer(amps, amps.conj())
-    residual = max(float(np.linalg.norm(
-        partial_trace_matrix(member.mat, args.n, [j])
-        - partial_trace_matrix(ref, args.n, [j])))
-        for j in range(1, args.n + 1))
+    residual = float(np.max(rdm_distances(ghz.make_ghz(args.n, a, b),
+                                          member)))
     _report(args, n=args.n, alpha=a, beta=b, z=z, out=args.out,
             rdm_residual=residual,
             pure=bool(abs(abs(z) - 1.0) <= 1e-12))

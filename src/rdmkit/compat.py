@@ -50,8 +50,8 @@ import numpy as np
 from .ghz import GhzCertificate, GhzParams, detect_ghz_type, ghz_family
 from .qstate import (DensityMatrix, EigDecomposition, PauliWord, PureState,
                      ValidationError, hermitian_eig, psd_segment)
-from .rdm import (RDM_EQUAL_TOL, RdmTuple, partial_trace_matrix, ptr_tuple,
-                  require_equal_rdms)
+from .rdm import (RDM_EQUAL_TOL, _split_index, partial_trace_matrix,
+                  rdm_distances, require_rdms_match)
 
 # Eigenvectors of K (H_ff compressed to V_1, see `face_check`) below
 # FACE_KERNEL_CUT span the face G.  On rotated GHZ states at n = 3..6, K's
@@ -264,20 +264,6 @@ def _hermitian_basis(k: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
-def _split_index(n: int) -> np.ndarray:
-    """Flat indices of the amplitude matrices M_j, shape (n, 2, 2^(n-1)).
-
-    v[_split_index(n)][j - 1] is v as a 2 x 2^(n-1) matrix with qubit j
-    as the row index and the other qubits, in order, as the column index.
-    """
-    low = 2 ** (n - np.arange(1, n + 1))[:, None, None]      # 2^(n-j)
-    rest = np.arange(2 ** (n - 1))
-    out = (rest // low) * 2 * low + np.arange(2)[:, None] * low + rest % low
-    out.flags.writeable = False
-    return out
-
-
 def face_check(psi: PureState) -> FaceCheck:
     """Find the states with psi's RDMs on the face of its local supports.
 
@@ -403,22 +389,13 @@ def _witness_residual(psi: PureState, cert: GhzCertificate) -> float:
 
     The fit is a u^ + b v^, with u^ and v^ the products of the
     certificate's local bases; its RDMs are the z = 0 member's (see
-    `determinedness`).  With W_j stacking the rows of psi's and the fit's
-    M_j, one batched QR W_j^T = Q R (R at most 4 x 4) gives M_j^T = Q R_M
-    and the fit's M_j^T = Q R_F, so the distance between the RDMs
-    M_j^T conj(M_j) is ||R_M R_M^dag - R_F R_F^dag||_F, taken entry by
-    entry: no cancellation between two large norms.
+    `determinedness`).  The fit is a 2^n vector, so `rdm.rdm_distances`
+    compares it in factored form: one batched QR, R at most 4 x 4.
     """
     us, vs = zip(*cert.local_bases)
     fit = (cert.params.a * reduce(np.multiply.outer, us)
            + cert.params.b * reduce(np.multiply.outer, vs)).ravel()
-    index = _split_index(psi.n)
-    rows = np.concatenate([psi.amps[index], fit[index]], axis=1)
-    r = np.linalg.qr(rows.swapaxes(1, 2), mode="r")
-    ours, fits = r[..., :2], r[..., 2:]
-    diff = (ours @ ours.conj().swapaxes(1, 2)
-            - fits @ fits.conj().swapaxes(1, 2))
-    return float(np.max(np.linalg.norm(diff, axis=(1, 2))))
+    return float(np.max(rdm_distances(psi, fit)))
 
 
 def determinedness(psi: PureState, tol: float = 1e-8,
@@ -486,21 +463,23 @@ def rank2_check(psi: PureState, omega: DensityMatrix) -> bool:
     """Does a mixed RDM-partner of a pure state have rank exactly 2?
 
     The theorem says yes for every valid input; a False return is a
-    theorem-violation flag, not a normal outcome.
+    theorem-violation flag, not a normal outcome.  omega's RDMs are
+    compared with psi's by `rdm.require_rdms_match` on omega's dense
+    matrix; no RDM tuple is built.
     """
-    return rank2_given(ptr_tuple(psi.projector()), omega,
-                       hermitian_eig(omega.mat))
+    return rank2_given(psi, omega, hermitian_eig(omega.mat))
 
 
-def rank2_given(psi_rdms: RdmTuple, omega: DensityMatrix,
+def rank2_given(psi: PureState, omega: DensityMatrix,
                 dec: EigDecomposition) -> bool:
-    """rank2_check from psi's RDM tuple and omega's eigendecomposition.
+    """rank2_check from omega's eigendecomposition.
 
-    For a caller that already holds both: the RDM tuples must match, then
-    omega's rank is read off dec at `EigDecomposition.rank`'s default cut
-    (eigenvalues above 1e-8), the one rank cut for omega.
+    For a caller that already holds dec: omega's RDMs must match psi's
+    (`rdm.require_rdms_match`), then omega's rank is read off dec at
+    `EigDecomposition.rank`'s default cut (eigenvalues above 1e-8), the
+    one rank cut for omega.
     """
-    require_equal_rdms(psi_rdms, ptr_tuple(omega))
+    require_rdms_match(psi, omega)
     rank = dec.rank()
     if rank < 2:
         raise ValidationError("omega is pure; the check needs a mixed state")

@@ -30,7 +30,7 @@ import numpy as np
 from .compat import rank2_given
 from .qstate import (DensityMatrix, EigDecomposition, PureState,
                      ValidationError, hermitian_eig, psd_segment)
-from .rdm import ptr_tuple, rdm_max_distance
+from .rdm import rdm_distances
 
 
 class TheoremViolation(RuntimeError):
@@ -80,16 +80,17 @@ def pure_partner_details(psi: PureState,
     """The distinct pure state with psi's RDMs, with construction diagnostics.
 
     Each matrix is decomposed once: one hermitian_eig of omega feeds the
-    purity test, the rank-2 test and the two-level restriction, and each
-    of psi, omega and the partner has its projector and RDM tuple built
-    once (psi's serves both the RDM check and the partner's residual).
+    purity test, the rank-2 test and the two-level restriction.  No RDM
+    tuple is built: `rdm.rdm_distances` compares psi's RDMs with omega's
+    dense matrix (the rank-2 test's gate) and with the partner's
+    amplitudes (`rdm_residual`, in factored form), and the mixture fit
+    takes the raw projectors of psi and of the partner, both validated
+    as pure states.
     """
     dec = hermitian_eig(omega.mat)
     if dec.rank() < 2:
         raise ValidationError("omega is pure; need a mixed partner")
-    psi_proj = psi.projector()
-    psi_rdms = ptr_tuple(psi_proj)
-    if not rank2_given(psi_rdms, omega, dec):
+    if not rank2_given(psi, omega, dec):
         raise TheoremViolation(
             f"omega has rank {dec.rank()} > 2 despite matching RDMs")
     psi2, w = _two_level_restriction(psi, omega, dec)
@@ -112,12 +113,13 @@ def pure_partner_details(psi: PureState,
     if overlap >= 1.0 - 1e-8:
         raise TheoremViolation(
             f"constructed partner is not distinct: overlap {overlap!r}")
-    partner_proj = partner.projector()
-    rdm_res = rdm_max_distance(ptr_tuple(partner_proj), psi_rdms)
+    rdm_res = float(np.max(rdm_distances(psi, partner.amps)))
     if rdm_res > 1e-8:
         raise TheoremViolation(
             f"partner fails to reproduce psi's RDMs: residual {rdm_res:.3e}")
-    lam, mix_res = _mixture_fit(psi_proj.mat, partner_proj.mat, omega.mat)
+    lam, mix_res = _mixture_fit(np.outer(psi.amps, psi.amps.conj()),
+                                np.outer(partner.amps, partner.amps.conj()),
+                                omega.mat)
     if mix_res > 1e-7 or not 0.0 < lam < 1.0:
         raise TheoremViolation(
             f"omega is not a convex mixture of psi and the partner "

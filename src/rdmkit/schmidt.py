@@ -36,8 +36,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qstate import DensityMatrix, PureState, ValidationError, hermitian_eig
-from .rdm import ptr_tuple, require_equal_rdms
+from .qstate import (DensityMatrix, EigDecomposition, PureState,
+                     ValidationError, hermitian_eig)
+from .rdm import require_rdms_match
 
 PRODUCT_Q_TOL = 1e-12  # below this, q1 is treated as exactly zero
 
@@ -157,7 +158,12 @@ def purify(omega: DensityMatrix) -> Purification:
     Hermitian and PSD by construction and has unit trace, so it needs no
     `DensityMatrix` validation of its own.
     """
-    dec = hermitian_eig(omega.mat)
+    return _purify_given(omega, hermitian_eig(omega.mat))
+
+
+def _purify_given(omega: DensityMatrix,
+                  dec: EigDecomposition) -> Purification:
+    """purify from omega's eigendecomposition dec, for a caller holding it."""
     r = dec.rank(1e-10)
     p = dec.eigenvalues[::-1][:r]
     vec = dec.eigenvectors[:, ::-1][:, :r] * np.sqrt(p)
@@ -214,8 +220,15 @@ class EnvVectors:
 
 
 def _require_purifies_psi_rdms(pur: Purification, psi: PureState) -> None:
-    require_equal_rdms(ptr_tuple(pur.system_state()),
-                       ptr_tuple(psi.projector()))
+    """The RDM gate on the purified state, with omega_vec as its factor.
+
+    omega_vec, read as a 2^n x env_dim matrix F, has F F^dag = the system
+    state, so `rdm.require_rdms_match` compares it in factored form:
+    no 2^n x 2^n matrix and no RDM tuple is built.
+    """
+    if pur.n != psi.n:
+        raise ValidationError(f"qubit counts differ: {pur.n} vs {psi.n}")
+    require_rdms_match(psi, pur.omega_vec.reshape(2**pur.n, pur.env_dim))
 
 
 def _env_vectors(pur: Purification, psi: PureState, j: int) -> EnvVectors:
@@ -241,9 +254,10 @@ def extract_env_vectors(pur: Purification, psi: PureState,
                         j: int) -> EnvVectors:
     """Extract E^j_i, e^j_{ir}, Omega^{(j)}_r from a purification.
 
-    The purification must purify a state whose RDM tuple matches psi's
-    (rdm.require_equal_rdms); otherwise the offending qubit and distance
-    are reported.  Requires a non-product Schmidt split at qubit j.
+    The purification must purify a state whose RDMs match psi's
+    (`rdm.require_rdms_match`, in factored form); otherwise the offending
+    qubit and distance are reported.  Requires a non-product Schmidt
+    split at qubit j.
     """
     _require_purifies_psi_rdms(pur, psi)
     return _env_vectors(pur, psi, j)
@@ -253,8 +267,8 @@ def extract_env_vectors_all(pur: Purification,
                             psi: PureState) -> list[EnvVectors]:
     """extract_env_vectors at qubits 1..n, after one RDM check.
 
-    The RDM tuples are compared once for the whole list; each entry
-    equals extract_env_vectors(pur, psi, j) for j = 1..n.
+    The RDMs are compared once for the whole list; each entry equals
+    extract_env_vectors(pur, psi, j) for j = 1..n.
     """
     _require_purifies_psi_rdms(pur, psi)
     return [_env_vectors(pur, psi, j) for j in range(1, psi.n + 1)]

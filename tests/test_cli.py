@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import rdmkit
-from rdmkit.cli import (DENSE_NMAX, build_parser, load_state, main,
-                        save_state)
+from rdmkit.cli import (DENSE_NMAX, FORMAT_TAG, ORDERING_NOTE, build_parser,
+                        load_state, main, save_state)
 from rdmkit.ghz import GhzParams, ghz_family, make_ghz
 from rdmkit.qstate import (DensityMatrix, PureState, apply_local_unitaries,
                            haar_random_state, random_local_unitaries)
@@ -30,6 +30,23 @@ def run(capsys, argv):
 
 
 # ----------------------------------------------------------------- state files
+
+def test_state_files_write_one_re_im_pair_per_entry(tmp_path):
+    # the text is what a per-entry float conversion gives, byte for byte
+    for state in (haar_random_state(3, 78),
+                  ghz_family(GhzParams(3, 0.8, 0.6j), 0.3 - 0.2j)):
+        p = tmp_path / "state.json"
+        save_state(str(p), state)
+        if isinstance(state, PureState):
+            kind, data = "pure", [[float(x.real), float(x.imag)]
+                                  for x in state.amps]
+        else:
+            kind, data = "density", [[[float(x.real), float(x.imag)]
+                                      for x in row] for row in state.mat]
+        doc = {"format": FORMAT_TAG, "kind": kind, "n": 3,
+               "ordering": ORDERING_NOTE, "data": data}
+        assert p.read_text() == json.dumps(doc) + "\n"
+
 
 def test_state_file_round_trip_bit_exact(tmp_path):
     psi = haar_random_state(3, 77)
@@ -476,12 +493,13 @@ def count_calls(monkeypatch, module, name):
 
 def test_proofcheck_and_partner_check_rdms_once(tmp_path, capsys,
                                                 monkeypatch):
+    # one RDM gate per command, in factored or dense form: no RDM tuple
     tuples = count_calls(monkeypatch, rdmkit.rdm, "ptr_tuple")
-    checks = count_calls(monkeypatch, rdmkit.rdm, "require_equal_rdms")
+    checks = count_calls(monkeypatch, rdmkit.rdm, "require_rdms_match")
     code, _, _ = run(capsys, ["proofcheck", "--n", "4", "--alpha", "0.8",
                               "--beta", "0.6j", "--z", "0.3+0.2j"])
     assert code == 0
-    assert (checks["calls"], tuples["calls"]) == (1, 2)
+    assert (checks["calls"], tuples["calls"]) == (1, 0)
 
     a, b = np.sqrt(0.7), np.sqrt(0.3)
     psi_path = write_ghz(tmp_path / "psi.json", 4, a, b)
@@ -490,7 +508,31 @@ def test_proofcheck_and_partner_check_rdms_once(tmp_path, capsys,
     checks["calls"] = tuples["calls"] = 0
     code, _, _ = run(capsys, ["partner", psi_path, omega_path])
     assert code == 0
-    assert (checks["calls"], tuples["calls"]) == (1, 3)
+    assert (checks["calls"], tuples["calls"]) == (1, 0)
+
+
+def test_sweep_proof_step_decomposes_omega_once(capsys, monkeypatch):
+    # sample 1 is the GHZ sample: rank test and purification share one
+    # eigendecomposition of omega, and no RDM tuple is built
+    tuples = count_calls(monkeypatch, rdmkit.rdm, "ptr_tuple")
+    orig = rdmkit.qstate.hermitian_eig
+    sizes = []
+
+    def recorded(m):
+        sizes.append(np.shape(m)[0])
+        return orig(m)
+
+    for mod in (rdmkit.qstate, rdmkit.compat, rdmkit.construct,
+                rdmkit.ghz, rdmkit.schmidt):
+        if getattr(mod, "hermitian_eig", None) is orig:
+            monkeypatch.setattr(mod, "hermitian_eig", recorded)
+    code, report, _ = run(capsys, ["sweep", "--n", "4", "--samples", "2",
+                                   "--seed", "3"])
+    assert code == 0
+    assert [d["kind"] for d in report["details"]] == ["haar", "ghz"]
+    assert "main_constraint_residual" in report["details"][1]
+    assert sizes.count(16) == 1
+    assert tuples["calls"] == 0
 
 
 # ------------------------------------------------------ linear algebra errors

@@ -1,6 +1,7 @@
 """Tests for the RDM-preserving direction span, PSD feasibility search,
 determinedness verdicts, and the rank-2 check."""
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -471,7 +472,12 @@ def test_ghz_verdict_builds_no_rdm_tuple(monkeypatch):
     def fail(self, z):
         raise AssertionError("member called")
 
-    monkeypatch.setattr(compat, "ptr_tuple", counted)
+    # every rdmkit binding of ptr_tuple, wherever a caller looks it up
+    for name, mod in list(sys.modules.items()):
+        if name == "rdmkit" or name.startswith("rdmkit."):
+            for key, val in list(vars(mod).items()):
+                if val is ptr_tuple:
+                    monkeypatch.setattr(mod, key, counted)
     monkeypatch.setattr(compat.WitnessFamily, "member", fail)
     v = determinedness(rotated_ghz(4, 4409))
     assert v.determined is False

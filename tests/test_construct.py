@@ -196,7 +196,27 @@ def test_partner_errors_keep_their_order_and_messages(monkeypatch):
         with pytest.raises(cls) as info:
             pure_partner_details(psi, omega_bad)
         assert type(info.value) is cls and str(info.value) == msg
-    monkeypatch.setattr(compat, "require_equal_rdms", lambda x, y: None)
+    monkeypatch.setattr(compat, "require_rdms_match", lambda x, y: None)
     with pytest.raises(TheoremViolation,
                        match=r"^omega has rank 3 > 2 despite matching RDMs$"):
         pure_partner_details(psi, rank3)
+
+
+def test_partner_compares_omega_without_revalidating_its_parts():
+    # omega's (n-1)-qubit parts are compared, not validated as states of
+    # their own: a part that is not PSD is farther than RDM_EQUAL_TOL from
+    # psi's PSD part, and a part whose asymmetry is two of omega's
+    # rounding-level ones is no reason to refuse omega
+    a, b = np.sqrt(0.6), np.sqrt(0.4)
+    psi = make_ghz(3, a, b)
+    d = 0.9e-9
+    diag = np.zeros(8, dtype=complex)
+    diag[[0, 7, 1, 5]] = 0.6 + 2 * d, 0.4, -d, -d
+    with pytest.raises(ValidationError,
+                       match=r"^RDM mismatch at qubit 1: distance 2\.546e-09$"):
+        pure_partner_details(psi, DensityMatrix(3, np.diag(diag)))
+    m = ghz_family(GhzParams(3, a, b), 0.4).mat.copy()
+    m[0, 1] += 0.9e-12
+    m[4, 5] += 0.9e-12
+    res = pure_partner_details(psi, DensityMatrix(3, m))
+    assert res.rdm_residual <= 1e-12

@@ -5,10 +5,14 @@ import itertools
 import numpy as np
 import pytest
 
+from rdmkit.ghz import GhzParams, ghz_family, make_ghz
 from rdmkit.qstate import (DensityMatrix, PauliWord, PureState,
-                           ValidationError, haar_random_state)
+                           ValidationError, apply_local_unitaries,
+                           haar_random_state, random_local_unitaries)
 from rdmkit.rdm import (partial_trace, partial_trace_matrix, ptr_tuple,
-                        rdm_max_distance)
+                        rdm_distances, rdm_max_distance, require_equal_rdms,
+                        require_rdms_match)
+from rdmkit.schmidt import purify
 
 BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 
@@ -156,6 +160,72 @@ def test_rdm_distance_rejects_mismatched_n():
     t3 = ptr_tuple(haar_random_state(3, 0).projector())
     with pytest.raises(ValidationError):
         rdm_max_distance(t2, t3)
+
+
+# -------------------------------------------------------------- rdm_distances
+
+def factored_cases(n):
+    """(name, psi, F) with omega = F F^dag: pure, GHZ-family, rank 2, rank 1."""
+    rng = np.random.default_rng([n, 2718])
+
+    def unit(shape):
+        f = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return f / np.linalg.norm(f)
+
+    haar = haar_random_state(n, 900 + n)
+    a, b = np.sqrt(0.7), np.sqrt(0.3) * np.exp(0.4j)
+    us = random_local_unitaries(n, 910 + n)
+    ghz = apply_local_unitaries(make_ghz(n, a, b), us)
+    member = ghz_family(GhzParams(n, a, b), -0.3 + 0.5j)
+    lift = np.ones((1, 1))
+    for u in us:
+        lift = np.kron(lift, u)
+    pur = purify(DensityMatrix(n, lift @ member.mat @ lift.conj().T))
+    return [
+        ("pure", haar, haar_random_state(n, 920 + n).amps),
+        ("ghz-family", ghz, pur.omega_vec.reshape(2**n, pur.env_dim)),
+        ("rank-2", haar, unit((2**n, 2))),
+        ("rank-1", haar, unit((2**n, 1))),
+    ]
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_rdm_distances_match_the_dense_tuples(n):
+    for name, psi, f in factored_cases(n):
+        omega = DensityMatrix(n, f.reshape(2**n, -1) @ f.reshape(2**n, -1)
+                              .conj().T)
+        ours, theirs = ptr_tuple(psi.projector()), ptr_tuple(omega)
+        ref = [np.linalg.norm(x.mat - y.mat)
+               for x, y in zip(ours.parts, theirs.parts)]
+        factored = rdm_distances(psi, f)
+        dense = rdm_distances(psi, omega)
+        assert factored.shape == dense.shape == (n,)
+        assert np.max(np.abs(factored - ref)) <= 1e-13, name
+        assert np.max(np.abs(dense - ref)) <= 1e-13, name
+        assert abs(max(factored) - rdm_max_distance(ours, theirs)) <= 1e-13
+
+
+def test_rdm_gate_keeps_the_tuple_gate_and_its_message():
+    psi = make_ghz(3, np.sqrt(0.7), np.sqrt(0.3))
+    require_rdms_match(psi, ghz_family(GhzParams(3, np.sqrt(0.7),
+                                                 np.sqrt(0.3)), 0.4))
+    other = ghz_family(GhzParams(3, np.sqrt(0.3), np.sqrt(0.7)), 0.4)
+    messages = []
+    for check in (lambda: require_rdms_match(psi, other),
+                  lambda: require_equal_rdms(ptr_tuple(psi.projector()),
+                                             ptr_tuple(other))):
+        with pytest.raises(ValidationError) as info:
+            check()
+        messages.append(str(info.value))
+    assert messages == ["RDM mismatch at qubit 1: distance 5.657e-01"] * 2
+
+
+def test_rdm_distances_reject_mismatched_and_single_qubit_states():
+    with pytest.raises(ValidationError, match="^qubit counts differ: 3 vs 2$"):
+        rdm_distances(haar_random_state(3, 0), BELL)
+    with pytest.raises(ValidationError, match="^need n >= 2"):
+        rdm_distances(PureState(1, np.array([1, 0], dtype=complex)),
+                      DensityMatrix(1, np.eye(2) / 2))
 
 
 # ------------------------------------------------- full-weight kernel property

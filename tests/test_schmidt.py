@@ -332,7 +332,7 @@ def test_main_constraint_detects_incompatible_purification(monkeypatch):
     g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
     u, _ = np.linalg.qr(np.eye(16) + 0.15 * (g - g.conj().T))
     bad = Purification(3, 2, u @ pur.omega_vec)
-    monkeypatch.setattr(schmidt, "require_equal_rdms", lambda a, b: None)
+    monkeypatch.setattr(schmidt, "require_rdms_match", lambda a, b: None)
     envs = [extract_env_vectors(bad, psi, j) for j in range(1, 4)]
     worst = main_constraint_max_residual(envs, psi)
     assert worst > 1e-3
